@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -187,6 +188,19 @@ func TestBadInputsExitNonzero(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run(&out, &errw, []string{"summary", junk}); code != 1 {
 		t.Fatalf("summary on junk: exit %d", code)
+	}
+	// A ~15-byte dump whose strings section claims 1<<40 entries once
+	// killed the reader with an uncatchable out-of-memory fatal error.
+	crafted := filepath.Join(dir, "crafted.rvmfr")
+	b := binary.AppendUvarint(append([]byte(nil), fr.Magic...), fr.DumpVersion)
+	b = append(b, 0x02, 6) // strings section, 6-byte payload
+	b = binary.AppendUvarint(b, 1<<40)
+	if err := os.WriteFile(crafted, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errw.Reset()
+	if code := run(&out, &errw, []string{"summary", crafted}); code != 1 || !strings.Contains(errw.String(), "strings section") {
+		t.Fatalf("summary on crafted dump: exit %d, stderr %q", code, errw.String())
 	}
 	if code := run(&out, &errw, []string{"wat"}); code != 2 {
 		t.Fatalf("unknown command: exit %d", code)

@@ -186,21 +186,19 @@ func main() {
 
 	// Base tracer: stderr narration and/or the timeline recorder.
 	var rec trace.Recorder
-	var sink trace.Sink = trace.Discard
-	switch {
-	case *doTrace && *timeline:
-		sink = trace.Multi{trace.Writer{W: os.Stderr}, &rec}
-	case *doTrace:
-		sink = trace.Writer{W: os.Stderr}
-	case *timeline:
-		sink = &rec
+	var sinks []trace.Sink
+	if *doTrace {
+		sinks = append(sinks, trace.Writer{W: os.Stderr})
+	}
+	if *timeline {
+		sinks = append(sinks, &rec)
 	}
 
 	// Observability sinks ride on Config.Observer, multiplexed by the
 	// runtime next to the base tracer; a plain run keeps Observer nil and
 	// pays nothing.
 	var (
-		obsSinks  trace.Multi
+		obsSinks  []trace.Sink
 		observer  *obs.Observer
 		syncObs   *obs.SyncObserver
 		jsonl     *obs.JSONLWriter
@@ -310,15 +308,6 @@ func main() {
 		}
 	}
 
-	var obsSink trace.Sink
-	switch len(obsSinks) {
-	case 0:
-	case 1:
-		obsSink = obsSinks[0]
-	default:
-		obsSink = obsSinks
-	}
-
 	var srvDone func()
 	if *httpAddr != "" {
 		srvDone, err = serveHTTP(*httpAddr, profiler, syncObs, syncRec, *httpWait)
@@ -341,8 +330,8 @@ func main() {
 		Mode:              mode,
 		TrackDependencies: true,
 		DeadlockDetection: mode == core.Revocation,
-		Tracer:            sink,
-		Observer:          obsSink,
+		Tracer:            trace.Join(sinks...),
+		Observer:          trace.Join(obsSinks...),
 		Race:              detector,
 		Profiler:          profiler,
 		Sched: sched.Config{

@@ -15,11 +15,18 @@
 // so -strict reports but tolerates them; on a complete stream they still
 // fail.
 //
+// With -metrics-out, the replayed observer's latency metrics are written
+// as JSON in exactly the format of `rvmrun -metrics json`. Comparing the
+// two files for one run checks that the JSONL stream carries everything
+// the metrics are built from.
+//
 // Usage:
 //
 //	tracecheck [-strict] FILE...   validate each file, report event and
 //	                               dropped counts
 //	tracecheck [-strict] -         validate standard input
+//	tracecheck -metrics-out OUT FILE
+//	                               also write FILE's replayed metrics to OUT
 //
 // Exit status is 0 when every input validates, 1 otherwise. With -strict,
 // dropped events also fail the run (unless the stream declares truncation).
@@ -36,18 +43,19 @@ import (
 
 func main() {
 	strict := flag.Bool("strict", false, "exit non-zero when the observer dropped any event as unjoinable")
+	metricsOut := flag.String("metrics-out", "", "write the replayed metrics of the single input FILE as JSON to OUT")
 	flag.Parse()
-	os.Exit(run(os.Stdout, os.Stderr, flag.Args(), *strict))
+	os.Exit(run(os.Stdout, os.Stderr, flag.Args(), *strict, *metricsOut))
 }
 
-func run(out, errw io.Writer, args []string, strict bool) int {
-	if len(args) == 0 {
-		fmt.Fprintln(errw, "usage: tracecheck [-strict] FILE...   (or '-' for stdin)")
+func run(out, errw io.Writer, args []string, strict bool, metricsOut string) int {
+	if len(args) == 0 || metricsOut != "" && len(args) != 1 {
+		fmt.Fprintln(errw, "usage: tracecheck [-strict] [-metrics-out OUT] FILE...   (or '-' for stdin; -metrics-out takes one FILE)")
 		return 2
 	}
 	code := 0
 	for _, path := range args {
-		if err := check(out, path, strict); err != nil {
+		if err := check(out, path, strict, metricsOut); err != nil {
 			fmt.Fprintf(errw, "tracecheck: %s: %v\n", path, err)
 			code = 1
 		}
@@ -55,7 +63,7 @@ func run(out, errw io.Writer, args []string, strict bool) int {
 	return code
 }
 
-func check(out io.Writer, path string, strict bool) error {
+func check(out io.Writer, path string, strict bool, metricsOut string) error {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin
@@ -84,5 +92,16 @@ func check(out io.Writer, path string, strict bool) error {
 	if strict && o.Dropped() > 0 && !info.Truncated {
 		return fmt.Errorf("%d events dropped as unjoinable (-strict)", o.Dropped())
 	}
-	return nil
+	if metricsOut == "" {
+		return nil
+	}
+	f, err := os.Create(metricsOut)
+	if err != nil {
+		return err
+	}
+	if err := o.Metrics().WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

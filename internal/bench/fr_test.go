@@ -7,27 +7,64 @@ import (
 )
 
 // TestFlightRecorderAppendBudget pins the recorder's headline contract: a
-// steady-state append stays allocation-free and under 50 ns. The
-// allocation bound is exact (the Go allocator is deterministic); the
-// timing bound takes the best of five runs so scheduler noise on shared
-// CI machines — including the parallel packages of a full `go test ./...`
-// competing for cores — cannot fail a healthy build.
+// steady-state append stays allocation-free and costs at most a fixed
+// multiple of the logging write barrier measured in the same process. The
+// multiple is the reference host's 50 ns budget divided by its committed
+// WriteBarrier figure (the escape-confined-elision entry of
+// results/BENCH_2026-08-08.json, ≈ 4.28×), so the bound is exactly as
+// strict as the absolute one was there while holding on any host speed.
+// The allocation bound is exact (the Go allocator is deterministic); each
+// timing takes the best of five interleaved runs so scheduler noise on
+// shared CI machines — including the parallel packages of a full
+// `go test ./...` competing for cores — cannot fail a healthy build.
 func TestFlightRecorderAppendBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing budget under -short")
 	}
-	const budgetNs = 50.0
-	best := measure("FlightRecorderAppend", FlightRecorderAppendBench)
-	for rep := 1; rep < 5; rep++ {
-		if r := measure("FlightRecorderAppend", FlightRecorderAppendBench); r.NsPerOp < best.NsPerOp {
-			best = r
+	const (
+		referenceBudgetNs = 50.0
+		referenceFile     = "../../results/BENCH_2026-08-08.json"
+		referenceLabel    = "escape-confined-elision"
+	)
+	var referenceWB float64
+	reports, err := LoadReports(referenceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if r.Label != referenceLabel {
+			continue
+		}
+		for _, b := range r.Benchmarks {
+			if b.Name == "WriteBarrier" {
+				referenceWB = b.NsPerOp
+			}
 		}
 	}
-	if best.AllocsPerOp != 0 {
-		t.Errorf("steady-state append allocates: %d allocs/op (%d B/op)", best.AllocsPerOp, best.BytesPerOp)
+	if referenceWB <= 0 {
+		t.Fatalf("%s: no WriteBarrier figure in entry %q", referenceFile, referenceLabel)
 	}
-	if best.NsPerOp >= budgetNs {
-		t.Errorf("steady-state append too slow: %.1f ns/op, budget %.0f", best.NsPerOp, budgetNs)
+	budgetRatio := referenceBudgetNs / referenceWB
+
+	best := func(prev BenchResult, name string, body func(*testing.B)) BenchResult {
+		if r := measure(name, body); prev.Iterations == 0 || r.NsPerOp < prev.NsPerOp {
+			return r
+		}
+		return prev
+	}
+	var app, wb BenchResult
+	for rep := 0; rep < 5; rep++ {
+		app = best(app, "FlightRecorderAppend", FlightRecorderAppendBench)
+		wb = best(wb, "WriteBarrier", WriteBarrierBench)
+	}
+	if app.AllocsPerOp != 0 {
+		t.Errorf("steady-state append allocates: %d allocs/op (%d B/op)", app.AllocsPerOp, app.BytesPerOp)
+	}
+	ratio := app.NsPerOp / wb.NsPerOp
+	t.Logf("append %.1f ns/op, WriteBarrier %.1f ns/op: %.2f×, budget %.2f×", app.NsPerOp, wb.NsPerOp, ratio, budgetRatio)
+	if ratio > budgetRatio {
+		t.Errorf("steady-state append too slow: %.1f ns/op = %.2f× WriteBarrier (%.1f ns/op), budget %.2f×",
+			app.NsPerOp, ratio, wb.NsPerOp, budgetRatio)
 	}
 }
 

@@ -29,13 +29,11 @@ type KeyBench struct {
 // KeyBenches returns the ns/op series the regression gate guards: the
 // write-barrier fast paths, the flight recorder's steady-state append,
 // the critical-path DAG build over a recorded cell stream, the
-// compact lock word's uncontended operations (including the "confined"
+// compact lock word's uncontended operations (including the engine-level
+// "nonrevocable" enter interpreted sections take and the "confined"
 // charge-only no-op a certified whole-monitor elision compiles to), the
 // ConfinedMonitorEnterExit off/on pair the escape analysis buys end to
-// end, and the execution-tier dispatch comparison. The
-// "nonrevocable" monitor variant is recorded in reports but NOT gated:
-// it allocates per operation, so GC timing swings it far past any
-// useful threshold on shared CI machines.
+// end, and the execution-tier dispatch comparison.
 func KeyBenches() []KeyBench {
 	kb := []KeyBench{
 		{"WriteBarrier", WriteBarrierBench},
@@ -43,7 +41,7 @@ func KeyBenches() []KeyBench {
 		{"FlightRecorderAppend", FlightRecorderAppendBench},
 		{"CritPathBuild", CritPathBuildBench},
 	}
-	for _, v := range []string{"thin", "inflated", "confined"} {
+	for _, v := range MonitorVariants {
 		kb = append(kb, KeyBench{"MonitorEnterUncontended/" + v, MonitorEnterUncontendedBench(v)})
 		kb = append(kb, KeyBench{"MonitorExitUncontended/" + v, MonitorExitUncontendedBench(v)})
 	}

@@ -199,7 +199,9 @@ type Config struct {
 	// same contract as Race, Observer and Profiler.
 	Perturb *Perturb
 
-	// Tracer receives runtime events; nil discards them.
+	// Tracer receives runtime events; nil or trace.Discard drops them.
+	// Tracer and Observer are joined (trace.Join) into the one sink the
+	// scheduler delivers every event through, replacing Sched.Tracer.
 	Tracer trace.Sink
 }
 
@@ -216,19 +218,7 @@ func (c *Config) fill() {
 	if c.CostUndoEntry == 0 {
 		c.CostUndoEntry = 1
 	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Discard
-	}
-	if c.Observer != nil {
-		if c.Tracer == trace.Discard {
-			c.Tracer = c.Observer
-		} else {
-			c.Tracer = trace.Multi{c.Tracer, c.Observer}
-		}
-	}
-	if c.Sched.Tracer == nil {
-		c.Sched.Tracer = c.Tracer
-	}
+	c.Sched.Tracer = trace.Join(c.Tracer, c.Observer)
 }
 
 // Stats aggregates runtime-wide counters; the evaluation harness reports
@@ -269,11 +259,10 @@ type Stats struct {
 
 // Runtime hosts a simulated VM instance.
 type Runtime struct {
-	cfg    Config
-	sch    *sched.Scheduler
-	hp     *heap.Heap
-	spec   *jmm.Table
-	tracer trace.Sink
+	cfg  Config
+	sch  *sched.Scheduler
+	hp   *heap.Heap
+	spec *jmm.Table
 
 	tasks    map[int]*Task
 	monitors []*monitor.Monitor
@@ -300,13 +289,12 @@ func New(cfg Config) *Runtime {
 		sch:     sched.New(cfg.Sched),
 		hp:      hp,
 		spec:    jmm.NewTable(hp),
-		tracer:  cfg.Tracer,
 		tasks:   make(map[int]*Task),
 		objMons: make(map[*heap.Object]*monitor.Monitor),
 		waiting: make(map[*Task]*monitor.Monitor),
 	}
 	if cfg.Race != nil {
-		cfg.Race.Bind(hp, rt.tracer, rt.sch.Now)
+		cfg.Race.Bind(hp, cfg.Sched.Tracer, rt.sch.Now)
 	}
 	if cfg.Profiler != nil {
 		p := cfg.Profiler
@@ -701,7 +689,9 @@ func (t *Task) WriteField(o *heap.Object, idx int, v heap.Word) {
 	}
 	o.Set(idx, v)
 	if o.IsVolatile(idx) {
-		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.VolatileWrite, Thread: t.Name(), Object: o.String(), Detail: o.FieldName(idx)})
+		if t.rt.sch.Tracing() { // the object's display name is formatted
+			t.rt.sch.Emit(trace.Event{Kind: trace.VolatileWrite, Thread: t.Name(), Object: o.String(), Detail: o.FieldName(idx)})
+		}
 		if d := t.rt.cfg.Race; d != nil {
 			d.VolatileWrite(t.th.ID(), race.Slot{Kind: heap.KindObject, ID: o.ID(), Idx: idx}, t.raceSite())
 		}
@@ -717,7 +707,9 @@ func (t *Task) ReadField(o *heap.Object, idx int) heap.Word {
 		t.dependencyHit(t.rt.spec.CheckReadObject(o, idx, t.th.ID()))
 	}
 	if o.IsVolatile(idx) {
-		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.VolatileRead, Thread: t.Name(), Object: o.String(), Detail: o.FieldName(idx)})
+		if t.rt.sch.Tracing() {
+			t.rt.sch.Emit(trace.Event{Kind: trace.VolatileRead, Thread: t.Name(), Object: o.String(), Detail: o.FieldName(idx)})
+		}
 		if d := t.rt.cfg.Race; d != nil {
 			d.VolatileRead(t.th.ID(), race.Slot{Kind: heap.KindObject, ID: o.ID(), Idx: idx}, t.raceSite())
 		}
@@ -773,7 +765,7 @@ func (t *Task) WriteStatic(idx int, v heap.Word) {
 	}
 	t.rt.hp.SetStatic(idx, v)
 	if t.rt.hp.IsStaticVolatile(idx) {
-		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.VolatileWrite, Thread: t.Name(), Object: t.rt.hp.StaticName(idx)})
+		t.rt.sch.Emit(trace.Event{Kind: trace.VolatileWrite, Thread: t.Name(), Object: t.rt.hp.StaticName(idx)})
 		if d := t.rt.cfg.Race; d != nil {
 			d.VolatileWrite(t.th.ID(), race.Slot{Kind: heap.KindStatic, Idx: idx}, t.raceSite())
 		}
@@ -789,7 +781,7 @@ func (t *Task) ReadStatic(idx int) heap.Word {
 		t.dependencyHit(t.rt.spec.CheckReadStatic(idx, t.th.ID()))
 	}
 	if t.rt.hp.IsStaticVolatile(idx) {
-		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.VolatileRead, Thread: t.Name(), Object: t.rt.hp.StaticName(idx)})
+		t.rt.sch.Emit(trace.Event{Kind: trace.VolatileRead, Thread: t.Name(), Object: t.rt.hp.StaticName(idx)})
 		if d := t.rt.cfg.Race; d != nil {
 			d.VolatileRead(t.th.ID(), race.Slot{Kind: heap.KindStatic, Idx: idx}, t.raceSite())
 		}
@@ -825,7 +817,7 @@ func (t *Task) markNonRevocable(reason string) {
 		if nr, _ := f.mon.NonRevocable(); !nr {
 			f.mon.MarkNonRevocable(reason)
 			marked = true
-			t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.NonRevocable, Thread: t.Name(), Object: f.mon.Name(), Detail: reason})
+			t.rt.sch.Emit(trace.Event{Kind: trace.NonRevocable, Thread: t.Name(), Object: f.mon.Name(), Detail: reason})
 		}
 	}
 	if marked {
@@ -839,7 +831,7 @@ func (t *Task) Native(name string, f func()) {
 	if len(t.frames) > 0 {
 		t.markNonRevocable("native method " + name)
 	}
-	t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.NativeCall, Thread: t.Name(), Detail: name})
+	t.rt.sch.Emit(trace.Event{Kind: trace.NativeCall, Thread: t.Name(), Detail: name})
 	if f != nil {
 		f()
 	}
@@ -870,19 +862,26 @@ func (t *Task) Synchronized(m *monitor.Monitor, body func()) {
 		if sig.target != myIdx {
 			panic(*sig) // rollback target is an enclosing section
 		}
-		t.reexecutions++
-		t.rt.stats.Reexecutions++
-		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Reexecution, Thread: t.Name(), Object: m.Name(),
-			N: int64(f.attempts + 1), Detail: fmt.Sprintf("attempt=%d", f.attempts+1)})
-		if sig.reason == "deadlock" {
-			backoff := t.rt.cfg.DeadlockBackoff
-			if backoff <= 0 {
-				backoff = t.rt.sch.Quantum()
-			}
-			t.Sleep(backoff * simtime.Ticks(f.attempts))
-		}
-		t.retryAttempts = f.attempts // carried into the next enter's frame
+		t.reexecute(f, sig.reason, "")
 	}
+}
+
+// reexecute records the re-execution of the rolled-back section f and
+// applies the deadlock backoff (the guard against revocation livelock,
+// §1.1). The next enter's frame inherits f's attempt count. via is the
+// re-execution event's Detail: "" for Synchronized, "engine" for engines.
+func (t *Task) reexecute(f frame, reason, via string) {
+	t.reexecutions++
+	t.rt.stats.Reexecutions++
+	t.rt.sch.Emit(trace.Event{Kind: trace.Reexecution, Thread: t.Name(), Object: f.mon.Name(), N: int64(f.attempts + 1), Detail: via})
+	if reason == "deadlock" {
+		backoff := t.rt.cfg.DeadlockBackoff
+		if backoff <= 0 {
+			backoff = t.rt.sch.Quantum()
+		}
+		t.Sleep(backoff * simtime.Ticks(f.attempts))
+	}
+	t.retryAttempts = f.attempts
 }
 
 // runBody executes the section body, converting a rollbackSignal panic into
@@ -916,12 +915,12 @@ func (t *Task) enter(m *monitor.Monitor) {
 		if m.TryEnter(t.th) {
 			break
 		}
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorEnter, Thread: t.Name(), Object: m.Name(), Detail: "contended"})
+		rt.sch.Emit(trace.Event{Kind: trace.MonitorEnter, Thread: t.Name(), Object: m.Name(), Detail: "contended"})
 		owner := m.Owner()
 		if owner == nil {
 			// Free, but a higher-priority thread is queued ahead of us
 			// (the paper's prioritized admission): just wait our turn.
-			rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorBlocked, Thread: t.Name(), Object: m.Name(), Detail: "queued"})
+			rt.sch.Emit(trace.Event{Kind: trace.MonitorBlocked, Thread: t.Name(), Object: m.Name(), Detail: "queued"})
 			rt.waiting[t] = m
 			blockedAt := rt.sch.Now()
 			kind := m.BlockOn(t.th)
@@ -937,8 +936,7 @@ func (t *Task) enter(m *monitor.Monitor) {
 		ownerTask, _ := owner.Data.(*Task)
 		if t.th.Priority() > m.OwnerPriority() {
 			rt.stats.Inversions++
-			rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.InversionDetected, Thread: t.Name(), Object: m.Name(), Other: owner.Name(),
-				Detail: fmt.Sprintf("owner=%s prio=%d<%d", owner.Name(), m.OwnerPriority(), t.th.Priority())})
+			rt.sch.Emit(trace.Event{Kind: trace.InversionDetected, Thread: t.Name(), Object: m.Name(), Other: owner.Name(), Aux: int64(m.OwnerPriority())})
 			if rt.cfg.Mode == Revocation && (rt.cfg.Detect == DetectOnAcquire || rt.cfg.Detect == DetectBoth) && ownerTask != nil {
 				if !rt.requestRevocation(ownerTask, m, "priority-inversion", t.Name()) && rt.cfg.InheritOnDenied {
 					rt.boostChain(ownerTask, t.th.Priority())
@@ -959,7 +957,7 @@ func (t *Task) enter(m *monitor.Monitor) {
 				t.deliverRevocation()
 			}
 		}
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorBlocked, Thread: t.Name(), Object: m.Name(), Other: owner.Name()})
+		rt.sch.Emit(trace.Event{Kind: trace.MonitorBlocked, Thread: t.Name(), Object: m.Name(), Other: owner.Name()})
 		blockedAt := rt.sch.Now()
 		kind := m.BlockOn(t.th)
 		if t.tp != nil {
@@ -973,8 +971,7 @@ func (t *Task) enter(m *monitor.Monitor) {
 			if req := t.revokeReq; req != nil && req.mon == m && req.monGen == m.Gen() && t.firstFrameOf(m) < 0 {
 				t.revokeReq = nil
 				rt.stats.PreemptedGrants++
-				rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.Rollback, Thread: t.Name(), Object: m.Name(), Other: req.requester,
-					Detail: fmt.Sprintf("reason=%s undone=0 (pending grant)", req.reason)})
+				rt.sch.Emit(trace.Event{Kind: trace.Rollback, Thread: t.Name(), Object: m.Name(), Other: req.requester, Detail: req.reason})
 				m.ForceRelease(t.th)
 				continue
 			}
@@ -988,40 +985,16 @@ func (t *Task) enter(m *monitor.Monitor) {
 			continue
 		}
 	}
-	reentrant := m.EntryCount() > 1
-	if !reentrant && len(t.frames) == 0 {
-		t.spanGen++
-	}
 	if rt.cfg.PriorityCeiling && m.Ceiling > t.th.Priority() {
 		rt.sch.SetPriority(t.th, m.Ceiling)
 	}
-	t.frames = append(t.frames, frame{
-		mon:       m,
-		monGen:    m.Gen(),
-		logMark:   t.log.Mark(),
-		reentrant: reentrant,
-		startCPU:  t.th.CPU(),
-		attempts:  t.retryAttempts,
-	})
-	t.retryAttempts = 0
 	if rt.cfg.OnDeadlock != nil {
 		if t.acqSites == nil {
 			t.acqSites = make(map[*monitor.Monitor]string)
 		}
 		t.acqSites[m] = t.lockSite()
 	}
-	if d := rt.cfg.Race; d != nil {
-		if !reentrant {
-			d.Acquire(t.th.ID(), m)
-		}
-		d.SectionEnter(t.th.ID()) // mark pushed for every frame, reentrant included
-	}
-	if t.tp != nil {
-		t.tp.SectionEnter()
-	}
-	// N carries the undo-log depth so trace consumers (the Perfetto counter
-	// tracks) can plot speculative state without replaying barrier logic.
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d", len(t.frames))})
+	t.pushFrame(m, m.EntryCount() > 1, false)
 }
 
 // enterElided pushes a what-if frame for a monitor running under the
@@ -1032,7 +1005,6 @@ func (t *Task) enter(m *monitor.Monitor) {
 // The re-execution therefore answers "how many ticks does making this
 // monitor uncontended buy" and nothing else.
 func (t *Task) enterElided(m *monitor.Monitor) {
-	rt := t.rt
 	reentrant := false
 	for _, f := range t.frames {
 		if f.mon == m {
@@ -1040,6 +1012,12 @@ func (t *Task) enterElided(m *monitor.Monitor) {
 			break
 		}
 	}
+	t.pushFrame(m, reentrant, true)
+}
+
+// pushFrame opens a section frame on m, acquired for real or elided by the
+// what-if override, and notifies the attached observers.
+func (t *Task) pushFrame(m *monitor.Monitor, reentrant, elided bool) {
 	if !reentrant && len(t.frames) == 0 {
 		t.spanGen++
 	}
@@ -1050,19 +1028,30 @@ func (t *Task) enterElided(m *monitor.Monitor) {
 		reentrant: reentrant,
 		startCPU:  t.th.CPU(),
 		attempts:  t.retryAttempts,
-		elided:    true,
+		elided:    elided,
 	})
 	t.retryAttempts = 0
-	if d := rt.cfg.Race; d != nil {
+	if d := t.rt.cfg.Race; d != nil {
 		if !reentrant {
 			d.Acquire(t.th.ID(), m)
 		}
-		d.SectionEnter(t.th.ID())
+		d.SectionEnter(t.th.ID()) // mark pushed for every frame, reentrant included
 	}
 	if t.tp != nil {
 		t.tp.SectionEnter()
 	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d elided", len(t.frames))})
+	// N carries the undo-log depth so trace consumers (the Perfetto counter
+	// tracks) can plot speculative state without replaying barrier logic.
+	t.rt.sch.Emit(trace.Event{Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Aux: int64(len(t.frames)), Detail: elidedDetail(elided)})
+}
+
+// elidedDetail is the Detail of a monitor event on a frame: "elided" for a
+// what-if frame, empty otherwise.
+func elidedDetail(elided bool) string {
+	if elided {
+		return "elided"
+	}
+	return ""
 }
 
 // commitTop exits the top frame normally. Updates become permanent only
@@ -1083,25 +1072,14 @@ func (t *Task) commitTop(m *monitor.Monitor) {
 		}
 		t.log.Truncate(0)
 	}
-	if f.elided {
-		// A what-if frame owns nothing: no monitor to exit, no boost to
-		// drop. Everything else commits as usual.
-		if d := rt.cfg.Race; d != nil {
-			if !f.reentrant {
-				d.Release(t.th.ID(), m)
-			}
-			d.SectionCommit(t.th.ID())
+	// A what-if frame owns nothing: no monitor to exit, no boost to drop.
+	// Everything else commits as usual.
+	fully := !f.reentrant
+	if !f.elided {
+		fully = m.Exit(t.th)
+		if fully && (rt.cfg.PriorityCeiling || rt.cfg.PriorityInheritance) {
+			rt.unboost(t)
 		}
-		if t.tp != nil {
-			t.tp.SectionCommit()
-		}
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorExit, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: "elided"})
-		t.YieldPoint()
-		return
-	}
-	fully := m.Exit(t.th)
-	if fully && (rt.cfg.PriorityCeiling || rt.cfg.PriorityInheritance) {
-		rt.unboost(t)
 	}
 	if d := rt.cfg.Race; d != nil {
 		// A reentrant exit is not a real release: no synchronizes-with edge
@@ -1114,7 +1092,7 @@ func (t *Task) commitTop(m *monitor.Monitor) {
 	if t.tp != nil {
 		t.tp.SectionCommit()
 	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorExit, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len())})
+	rt.sch.Emit(trace.Event{Kind: trace.MonitorExit, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: elidedDetail(f.elided)})
 	t.YieldPoint()
 }
 
@@ -1142,13 +1120,12 @@ func (rt *Runtime) requestRevocation(victim *Task, m *monitor.Monitor, reason, r
 		victim.revokeReq = &revocation{mon: m, monGen: m.Gen(), requester: requester, reason: reason}
 		rt.stats.RevocationRequests++
 		rt.sch.Expedite(victim.th)
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(),
-			Other: requester, Detail: fmt.Sprintf("reason=%s requester=%s pending-grant", reason, requester)})
+		rt.sch.Emit(trace.Event{Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(), Other: requester, Detail: reason})
 		return true
 	}
 	if nr, why := m.NonRevocable(); nr {
 		rt.stats.RevocationsDenied++
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeDenied, Thread: victim.Name(), Object: m.Name(), Detail: why})
+		rt.sch.Emit(trace.Event{Kind: trace.RevokeDenied, Thread: victim.Name(), Object: m.Name(), Detail: why})
 		return false
 	}
 	// Any frame at or above the target marked non-revocable has already
@@ -1164,8 +1141,7 @@ func (rt *Runtime) requestRevocation(victim *Task, m *monitor.Monitor, reason, r
 	}
 	victim.revokeReq = req
 	rt.stats.RevocationRequests++
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(),
-		Other: requester, Detail: fmt.Sprintf("reason=%s requester=%s", reason, requester)})
+	rt.sch.Emit(trace.Event{Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(), Other: requester, Aux: int64(idx + 1), Detail: reason})
 	// A blocked or sleeping victim cannot reach a yield point on its own:
 	// interrupt it so the request is delivered promptly.
 	switch victim.th.State() {
@@ -1268,9 +1244,8 @@ func (t *Task) deliverRevocation() {
 	t.rollbacks++
 	rt.stats.Rollbacks++
 	rt.stats.WastedTicks += wasted
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.Rollback, Thread: t.Name(), Object: req.mon.Name(),
-		Other: req.requester, N: int64(wasted),
-		Detail: fmt.Sprintf("reason=%s undone=%d requester=%s", req.reason, undone, req.requester)})
+	rt.sch.Emit(trace.Event{Kind: trace.Rollback, Thread: t.Name(), Object: req.mon.Name(), Other: req.requester,
+		N: int64(wasted), Aux: int64(undone), Detail: req.reason})
 	// 3. Transfer control back to the start of the section. frames are
 	// popped by the unwinding Synchronized activations; record the attempt
 	// count so retries can back off.
@@ -1317,7 +1292,7 @@ func (t *Task) Wait(m *monitor.Monitor) {
 	if t.tp != nil {
 		t.tp.WaitTruncate()
 	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.WaitStart, Thread: t.Name(), Object: m.Name()})
+	rt.sch.Emit(trace.Event{Kind: trace.WaitStart, Thread: t.Name(), Object: m.Name()})
 	waitedAt := rt.sch.Now()
 	m.Wait(t.th, func() {
 		if t.revokeReq != nil {
@@ -1349,7 +1324,7 @@ func (t *Task) Wait(m *monitor.Monitor) {
 	if d := rt.cfg.Race; d != nil {
 		d.Acquire(t.th.ID(), m) // re-acquire joins the notifier's release
 	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.WaitEnd, Thread: t.Name(), Object: m.Name()})
+	rt.sch.Emit(trace.Event{Kind: trace.WaitEnd, Thread: t.Name(), Object: m.Name()})
 	if t.revokeReq != nil {
 		t.deliverRevocation()
 	}
@@ -1362,7 +1337,7 @@ func (t *Task) Notify(m *monitor.Monitor) {
 	if p := t.rt.cfg.Perturb; p != nil && p.Uncontended[m.Name()] {
 		panic(fmt.Sprintf("core: whatif: Notify on %s, which runs under the zero-contention override — wait/notify needs real monitor ownership, so Perturb.Uncontended cannot apply to monitors used with Object.wait", m.Name()))
 	}
-	t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Notify, Thread: t.Name(), Object: m.Name()})
+	t.rt.sch.Emit(trace.Event{Kind: trace.Notify, Thread: t.Name(), Object: m.Name()})
 	m.Notify(t.th)
 }
 
@@ -1371,7 +1346,7 @@ func (t *Task) NotifyAll(m *monitor.Monitor) {
 	if p := t.rt.cfg.Perturb; p != nil && p.Uncontended[m.Name()] {
 		panic(fmt.Sprintf("core: whatif: NotifyAll on %s, which runs under the zero-contention override — wait/notify needs real monitor ownership, so Perturb.Uncontended cannot apply to monitors used with Object.wait", m.Name()))
 	}
-	t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Notify, Thread: t.Name(), Object: m.Name(), Detail: "all"})
+	t.rt.sch.Emit(trace.Event{Kind: trace.Notify, Thread: t.Name(), Object: m.Name(), Detail: "all"})
 	m.NotifyAll(t.th)
 }
 
@@ -1386,22 +1361,31 @@ func (rt *Runtime) resolveDeadlock(t *Task, m *monitor.Monitor) {
 	if cycle == nil {
 		return
 	}
-	rt.stats.DeadlocksDetected++
-	names := make([]string, len(cycle))
-	for i, c := range cycle {
-		names[i] = fmt.Sprintf("%s->%s", c.task.Name(), c.holds.Name())
-	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockDetected, Thread: t.Name(), Detail: fmt.Sprintf("%v", names)})
+	rt.reportCycle(t, cycle)
 
 	victim := rt.chooseVictim(cycle, t)
 	if victim == nil {
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeDenied, Thread: t.Name(), Detail: "deadlock: no revocable victim"})
+		rt.sch.Emit(trace.Event{Kind: trace.RevokeDenied, Thread: t.Name(), Detail: "deadlock: no revocable victim"})
 		return
 	}
 	if rt.requestRevocation(victim.task, victim.holds, "deadlock", t.Name()) {
 		rt.stats.DeadlocksBroken++
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockBroken, Thread: victim.task.Name(), Object: victim.holds.Name()})
+		rt.sch.Emit(trace.Event{Kind: trace.DeadlockBroken, Thread: victim.task.Name(), Object: victim.holds.Name()})
 	}
+}
+
+// reportCycle counts a detected waits-for cycle closed by t and traces it.
+// The cycle's rendering is built only when a subscriber exists.
+func (rt *Runtime) reportCycle(t *Task, cycle []cycleEdge) {
+	rt.stats.DeadlocksDetected++
+	if !rt.sch.Tracing() {
+		return
+	}
+	names := make([]string, len(cycle))
+	for i, c := range cycle {
+		names[i] = c.task.Name() + "->" + c.holds.Name()
+	}
+	rt.sch.Emit(trace.Event{Kind: trace.DeadlockDetected, Thread: t.Name(), Detail: fmt.Sprint(names)})
 }
 
 // cycleEdge pairs a cycle member with the monitor it holds that its
@@ -1444,12 +1428,7 @@ func (rt *Runtime) observeWFG(t *Task, m *monitor.Monitor) {
 	if cycle == nil {
 		return
 	}
-	rt.stats.DeadlocksDetected++
-	names := make([]string, len(cycle))
-	for i, c := range cycle {
-		names[i] = fmt.Sprintf("%s->%s", c.task.Name(), c.holds.Name())
-	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockDetected, Thread: t.Name(), Detail: fmt.Sprintf("%v", names)})
+	rt.reportCycle(t, cycle)
 
 	// cycle[i].task holds cycle[i].holds and waits for cycle[i+1].holds;
 	// the last member is t itself, closing the ring on cycle[0].holds = m.
@@ -1559,7 +1538,7 @@ func (rt *Runtime) scanForInversions() {
 			continue
 		}
 		rt.stats.Inversions++
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.InversionDetected, Thread: w.Name(), Object: m.Name(), Detail: "periodic-scan"})
+		rt.sch.Emit(trace.Event{Kind: trace.InversionDetected, Thread: w.Name(), Object: m.Name(), Aux: int64(m.OwnerPriority()), Detail: "periodic-scan"})
 		rt.requestRevocation(ownerTask, m, "priority-inversion", w.Name())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/monitor"
 	"repro/internal/race"
-	"repro/internal/simtime"
 	"repro/internal/trace"
 )
 
@@ -100,7 +99,7 @@ func (t *Task) PreMarkNonRevocable(reason string) {
 	}
 	f.mon.MarkNonRevocable(reason)
 	t.rt.stats.StaticPreMarks++
-	t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.StaticPreMark, Thread: t.Name(), Object: f.mon.Name(), Detail: reason})
+	t.rt.sch.Emit(trace.Event{Kind: trace.StaticPreMark, Thread: t.Name(), Object: f.mon.Name(), Detail: reason})
 }
 
 // RegisterAllocObject logs a whole-allocation undo entry for an object
@@ -225,17 +224,6 @@ func (t *Task) EngineUnwind(info RevokeInfo) int {
 	f := t.frames[info.Target]
 	t.frames = t.frames[:info.Target]
 	t.clampNonRevBelow()
-	t.reexecutions++
-	t.rt.stats.Reexecutions++
-	t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Reexecution, Thread: t.Name(), Object: f.mon.Name(),
-		N: int64(f.attempts + 1), Detail: fmt.Sprintf("attempt=%d engine", f.attempts+1)})
-	if info.Reason == "deadlock" {
-		backoff := t.rt.cfg.DeadlockBackoff
-		if backoff <= 0 {
-			backoff = t.rt.sch.Quantum()
-		}
-		t.Sleep(backoff * simtime.Ticks(f.attempts))
-	}
-	t.retryAttempts = f.attempts
+	t.reexecute(f, info.Reason, "engine")
 	return f.attempts
 }

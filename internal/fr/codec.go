@@ -6,7 +6,8 @@
 //	strref  object      monitor or object
 //	strref  other       counterpart thread
 //	varint  n           zigzag numeric payload
-//	strref  detail      free-form context
+//	varint  aux         zigzag second numeric payload
+//	strref  detail      constant or runtime-held name
 //
 // where strref is a single uvarint d: d == 0 is the empty string, odd d is
 // the interned string-table id d>>1 (ids are 1-based), and even d > 0 is an
@@ -83,6 +84,19 @@ func appendStr(dst []byte, s string, tab *stringTable, cache *strCache) []byte {
 	return append(dst, s...)
 }
 
+// appendEvent encodes one event record payload. caches holds the
+// per-field memos for thread, object, other and detail.
+func appendEvent(dst []byte, e *trace.Event, tab *stringTable, caches *[4]strCache) []byte {
+	dst = binary.AppendUvarint(dst, uint64(e.At))
+	dst = binary.AppendUvarint(dst, uint64(e.Kind))
+	dst = appendStr(dst, e.Thread, tab, &caches[0])
+	dst = appendStr(dst, e.Object, tab, &caches[1])
+	dst = appendStr(dst, e.Other, tab, &caches[2])
+	dst = binary.AppendVarint(dst, e.N)
+	dst = binary.AppendVarint(dst, e.Aux)
+	return appendStr(dst, e.Detail, tab, &caches[3])
+}
+
 // decoder reads event payloads back against a resolved string table.
 type decoder struct {
 	strs []string
@@ -139,12 +153,14 @@ func (d *decoder) decodeEvent(buf []byte) (trace.Event, error) {
 	if e.Other, buf, err = d.str(buf); err != nil {
 		return e, err
 	}
-	v, n := binary.Varint(buf)
-	if n <= 0 {
-		return e, fmt.Errorf("fr: truncated numeric payload")
+	for _, p := range [...]*int64{&e.N, &e.Aux} {
+		v, n := binary.Varint(buf)
+		if n <= 0 {
+			return e, fmt.Errorf("fr: truncated numeric payload")
+		}
+		*p = v
+		buf = buf[n:]
 	}
-	e.N = v
-	buf = buf[n:]
 	if e.Detail, buf, err = d.str(buf); err != nil {
 		return e, err
 	}
@@ -155,11 +171,16 @@ func (d *decoder) decodeEvent(buf []byte) (trace.Event, error) {
 }
 
 // decodeRecords decodes a linearized records block (count length-prefixed
-// records) against the string table.
-func decodeRecords(records []byte, count int, strs []string) ([]trace.Event, error) {
+// records) against the string table. count is untrusted: every record
+// takes at least one byte, so a count beyond the block's length is
+// rejected before anything is sized from it.
+func decodeRecords(records []byte, count uint64, strs []string) ([]trace.Event, error) {
+	if count > uint64(len(records)) {
+		return nil, fmt.Errorf("fr: %d records claimed in %d bytes", count, len(records))
+	}
 	d := decoder{strs: strs}
 	events := make([]trace.Event, 0, count)
-	for i := 0; i < count; i++ {
+	for i := uint64(0); i < count; i++ {
 		plen, n := binary.Uvarint(records)
 		if n <= 0 {
 			return nil, fmt.Errorf("fr: record %d: truncated length prefix", i)
@@ -188,15 +209,8 @@ func encodeRecords(events []trace.Event, maxStrings int) (records []byte, strs [
 	tab := newStringTable(maxStrings)
 	var caches [4]strCache
 	var buf []byte
-	for _, e := range events {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(e.At))
-		buf = binary.AppendUvarint(buf, uint64(e.Kind))
-		buf = appendStr(buf, e.Thread, tab, &caches[0])
-		buf = appendStr(buf, e.Object, tab, &caches[1])
-		buf = appendStr(buf, e.Other, tab, &caches[2])
-		buf = binary.AppendVarint(buf, e.N)
-		buf = appendStr(buf, e.Detail, tab, &caches[3])
+	for i := range events {
+		buf = appendEvent(buf[:0], &events[i], tab, &caches)
 		records = binary.AppendUvarint(records, uint64(len(buf)))
 		records = append(records, buf...)
 	}

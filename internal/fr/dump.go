@@ -10,7 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// .rvmfr container format, version 1:
+// .rvmfr container format, version 2 (version 1 lacked the aux varint in
+// event records; this build reads only version 2):
 //
 //	6 bytes  magic "RVMFR\x00"
 //	uvarint  container version
@@ -27,7 +28,7 @@ import (
 // last few bytes.
 
 // DumpVersion is the current .rvmfr container version.
-const DumpVersion = 1
+const DumpVersion = 2
 
 // Magic prefixes every .rvmfr file.
 var Magic = []byte("RVMFR\x00")
@@ -158,8 +159,8 @@ func ReadDump(r io.Reader) (*Dump, error) {
 		return nil, fmt.Errorf("fr: truncated container version")
 	}
 	raw = raw[n:]
-	if ver < 1 {
-		return nil, fmt.Errorf("fr: bad container version %d", ver)
+	if ver != DumpVersion {
+		return nil, fmt.Errorf("fr: container version %d, this build reads %d", ver, DumpVersion)
 	}
 
 	d := &Dump{Version: int(ver)}
@@ -188,6 +189,11 @@ func ReadDump(r io.Reader) (*Dump, error) {
 				return nil, fmt.Errorf("fr: strings section: truncated count")
 			}
 			payload = payload[n:]
+			// Every string takes at least its length byte: bound the
+			// untrusted count before sizing anything from it.
+			if cnt > uint64(len(payload)) {
+				return nil, fmt.Errorf("fr: strings section: %d strings claimed in %d bytes", cnt, len(payload))
+			}
 			d.Strings = make([]string, 0, cnt)
 			for i := uint64(0); i < cnt; i++ {
 				l, n := binary.Uvarint(payload)
@@ -227,7 +233,7 @@ func ReadDump(r io.Reader) (*Dump, error) {
 		}
 	}
 	if evSec != nil {
-		d.Events, err = decodeRecords(evSec, d.EventCount, d.Strings)
+		d.Events, err = decodeRecords(evSec, uint64(d.EventCount), d.Strings)
 		if err != nil {
 			return nil, err
 		}

@@ -120,7 +120,7 @@ func (a *fleetAccum) addDigest(series string, d obs.HistSummary) {
 
 func (a *fleetAccum) report(inputs []string, dumps, benches int) *FleetReport {
 	rep := &FleetReport{
-		SchemaVersion: obs.SchemaVersion,
+		SchemaVersion: obs.MetricsVersion,
 		Inputs:        inputs,
 		DumpCount:     dumps,
 		BenchCount:    benches,

@@ -18,7 +18,6 @@
 package fr
 
 import (
-	"encoding/binary"
 	"encoding/json"
 
 	"repro/internal/obs"
@@ -99,16 +98,8 @@ func New(cfg Config) *Recorder {
 // Implements trace.Sink. Steady state (all strings interned, no anomaly)
 // performs zero allocations.
 func (r *Recorder) Emit(e trace.Event) {
-	b := r.buf[:0]
-	b = binary.AppendUvarint(b, uint64(e.At))
-	b = binary.AppendUvarint(b, uint64(e.Kind))
-	b = appendStr(b, e.Thread, r.tab, &r.caches[0])
-	b = appendStr(b, e.Object, r.tab, &r.caches[1])
-	b = appendStr(b, e.Other, r.tab, &r.caches[2])
-	b = binary.AppendVarint(b, e.N)
-	b = appendStr(b, e.Detail, r.tab, &r.caches[3])
-	r.buf = b
-	r.ring.append(b)
+	r.buf = appendEvent(r.buf[:0], &e, r.tab, &r.caches)
+	r.ring.append(r.buf)
 	if e.At > r.lastAt {
 		r.lastAt = e.At
 	}

@@ -17,14 +17,14 @@ import (
 func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
 
 // sampleEvents exercises every field shape: empty strings, repeated interned
-// strings, negative N, detail churn.
+// strings, negative N and Aux, detail churn.
 func sampleEvents() []trace.Event {
 	return []trace.Event{
 		{At: 0, Kind: trace.ThreadStart, Thread: "high", N: 9},
 		{At: 5, Kind: trace.MonitorEnter, Thread: "high", Object: "lock"},
-		{At: 5, Kind: trace.MonitorAcquired, Thread: "high", Object: "lock"},
+		{At: 5, Kind: trace.MonitorAcquired, Thread: "high", Object: "lock", Aux: 1},
 		{At: 9, Kind: trace.MonitorBlocked, Thread: "low", Object: "lock", Other: "high"},
-		{At: 12, Kind: trace.Rollback, Thread: "low", Object: "lock", Other: "high", N: -3, Detail: "reason=inversion"},
+		{At: 12, Kind: trace.Rollback, Thread: "low", Object: "lock", Other: "high", N: -3, Aux: -1 << 40, Detail: "priority-inversion"},
 		{At: 20, Kind: trace.ContextSwitch, Detail: "quantum"},
 		{At: 31, Kind: trace.RaceDetected, Thread: "w2", Object: "slot#4", Other: "w1", N: 2},
 		{At: 40, Kind: trace.ThreadEnd, Thread: "high"},

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,10 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// SchemaVersion is the version stamped on every JSONL trace and metrics
-// summary this package emits. Bump it when a field or kind name changes
-// meaning; consumers reject traces from a different major schema.
-const SchemaVersion = 1
+// SchemaVersion is the version stamped on every JSONL trace this package
+// emits. Bump it when a field or kind name changes meaning; consumers
+// reject traces from a different schema. Version 2 made payloads typed:
+// numbers moved out of "detail" into "n" and "aux".
+const SchemaVersion = 2
 
 // SchemaName identifies the JSONL stream format.
 const SchemaName = "rvm-trace"
@@ -46,6 +46,7 @@ type jsonlEvent struct {
 	Object string `json:"object,omitempty"`
 	Other  string `json:"other,omitempty"`
 	N      int64  `json:"n,omitempty"`
+	Aux    int64  `json:"aux,omitempty"`
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -80,7 +81,7 @@ func (j *JSONLWriter) Emit(e trace.Event) {
 	}
 	j.err = j.enc.Encode(jsonlEvent{
 		Type: "event", At: int64(e.At), Kind: e.Kind.String(),
-		Thread: e.Thread, Object: e.Object, Other: e.Other, N: e.N, Detail: e.Detail,
+		Thread: e.Thread, Object: e.Object, Other: e.Other, N: e.N, Aux: e.Aux, Detail: e.Detail,
 	})
 }
 
@@ -101,67 +102,11 @@ func KindNames() []string { return trace.Names() }
 // ValidateJSONL checks a JSONL trace stream against the schema: a leading
 // meta line with the expected version and schema name, then event lines
 // whose kind is in the declared vocabulary and whose timestamp is
-// non-negative and non-decreasing-safe (>= 0). It returns the number of
-// validated event lines.
+// non-negative. It returns the number of validated event lines.
 func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("obs: empty trace (missing meta line)")
-	}
-	var meta jsonlMeta
-	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return 0, fmt.Errorf("obs: line 1: %v", err)
-	}
-	if meta.Type != "meta" {
-		return 0, fmt.Errorf("obs: line 1: type %q, want \"meta\"", meta.Type)
-	}
-	if meta.V != SchemaVersion {
-		return 0, fmt.Errorf("obs: line 1: schema version %d, want %d", meta.V, SchemaVersion)
-	}
-	if meta.Schema != SchemaName {
-		return 0, fmt.Errorf("obs: line 1: schema %q, want %q", meta.Schema, SchemaName)
-	}
-	known := make(map[string]bool, len(meta.Kinds))
-	for _, k := range meta.Kinds {
-		known[k] = true
-	}
-	// The declared vocabulary must itself be the current one: a trace from
-	// a renamed build fails here rather than silently passing events.
-	for _, k := range KindNames() {
-		if !known[k] {
-			return 0, fmt.Errorf("obs: line 1: meta kinds missing %q", k)
-		}
-	}
 	n := 0
-	line := 1
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev jsonlEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return n, fmt.Errorf("obs: line %d: %v", line, err)
-		}
-		if ev.Type != "event" {
-			return n, fmt.Errorf("obs: line %d: type %q, want \"event\"", line, ev.Type)
-		}
-		if !known[ev.Kind] {
-			return n, fmt.Errorf("obs: line %d: unknown kind %q", line, ev.Kind)
-		}
-		if ev.At < 0 {
-			return n, fmt.Errorf("obs: line %d: negative timestamp %d", line, ev.At)
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return n, err
-	}
-	return n, nil
+	_, err := scanJSONL(r, func(jsonlEvent) error { n++; return nil })
+	return n, err
 }
 
 // ParseJSONL validates a JSONL trace stream and decodes it back into
@@ -174,39 +119,85 @@ func ParseJSONL(r io.Reader) ([]trace.Event, error) {
 
 // ParseJSONLInfo is ParseJSONL plus the meta line's stream qualifiers, so
 // a consumer can tell a truncated (ring-wrapped) stream from a complete
-// one. Kind names resolve through the stream's declared vocabulary, which
-// ValidateJSONL has already checked against this build's.
+// one. Kind names resolve through this build's vocabulary, which the meta
+// line must include.
 func ParseJSONLInfo(r io.Reader) ([]trace.Event, StreamInfo, error) {
-	var buf bytes.Buffer
-	if _, err := ValidateJSONL(io.TeeReader(r, &buf)); err != nil {
-		return nil, StreamInfo{}, err
-	}
 	var events []trace.Event
-	sc := bufio.NewScanner(&buf)
+	info, err := scanJSONL(r, func(ev jsonlEvent) error {
+		kind, ok := trace.KindByName(ev.Kind)
+		if !ok {
+			// Vocabulary from a newer build: validated as declared, but this
+			// build cannot represent it.
+			return fmt.Errorf("kind %q not known to this build", ev.Kind)
+		}
+		events = append(events, trace.Event{
+			At: simtime.Ticks(ev.At), Kind: kind,
+			Thread: ev.Thread, Object: ev.Object, Other: ev.Other, N: ev.N, Aux: ev.Aux, Detail: ev.Detail,
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, info, err
+	}
+	return events, info, nil
+}
+
+// scanJSONL reads a JSONL trace stream in one pass: it validates the meta
+// line, then hands every validated event line to fn. Errors carry the
+// offending line number.
+func scanJSONL(r io.Reader, fn func(jsonlEvent) error) (StreamInfo, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	sc.Scan() // meta line, already validated
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return StreamInfo{}, err
+		}
+		return StreamInfo{}, fmt.Errorf("obs: empty trace (missing meta line)")
+	}
 	var meta jsonlMeta
 	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return nil, StreamInfo{}, err
+		return StreamInfo{}, fmt.Errorf("obs: line 1: %v", err)
 	}
-	for sc.Scan() {
+	if meta.Type != "meta" {
+		return StreamInfo{}, fmt.Errorf("obs: line 1: type %q, want \"meta\"", meta.Type)
+	}
+	if meta.V != SchemaVersion {
+		return StreamInfo{}, fmt.Errorf("obs: line 1: schema version %d, want %d", meta.V, SchemaVersion)
+	}
+	if meta.Schema != SchemaName {
+		return StreamInfo{}, fmt.Errorf("obs: line 1: schema %q, want %q", meta.Schema, SchemaName)
+	}
+	known := make(map[string]bool, len(meta.Kinds))
+	for _, k := range meta.Kinds {
+		known[k] = true
+	}
+	// The declared vocabulary must itself be the current one: a trace from
+	// a renamed build fails here rather than silently passing events.
+	for _, k := range KindNames() {
+		if !known[k] {
+			return StreamInfo{}, fmt.Errorf("obs: line 1: meta kinds missing %q", k)
+		}
+	}
+	for line := 2; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var ev jsonlEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, meta.StreamInfo, err
+			return meta.StreamInfo, fmt.Errorf("obs: line %d: %v", line, err)
 		}
-		kind, ok := trace.KindByName(ev.Kind)
-		if !ok {
-			// Vocabulary from a newer build: validated as declared, but this
-			// build cannot represent it.
-			return nil, meta.StreamInfo, fmt.Errorf("obs: kind %q not known to this build", ev.Kind)
+		if ev.Type != "event" {
+			return meta.StreamInfo, fmt.Errorf("obs: line %d: type %q, want \"event\"", line, ev.Type)
 		}
-		events = append(events, trace.Event{
-			At: simtime.Ticks(ev.At), Kind: kind,
-			Thread: ev.Thread, Object: ev.Object, Other: ev.Other, N: ev.N, Detail: ev.Detail,
-		})
+		if !known[ev.Kind] {
+			return meta.StreamInfo, fmt.Errorf("obs: line %d: unknown kind %q", line, ev.Kind)
+		}
+		if ev.At < 0 {
+			return meta.StreamInfo, fmt.Errorf("obs: line %d: negative timestamp %d", line, ev.At)
+		}
+		if err := fn(ev); err != nil {
+			return meta.StreamInfo, fmt.Errorf("obs: line %d: %v", line, err)
+		}
 	}
-	return events, meta.StreamInfo, sc.Err()
+	return meta.StreamInfo, sc.Err()
 }

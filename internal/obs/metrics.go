@@ -89,6 +89,10 @@ func (m *Metrics) WastedPerThread(thread string) *Histogram { return m.wastedPer
 // Reexecutions returns the per-thread re-execution counts.
 func (m *Metrics) Reexecutions() map[string]int64 { return m.reexecPerThread }
 
+// MetricsVersion is the version stamped on every metrics summary and fleet
+// SLO report; it moves independently of the JSONL trace SchemaVersion.
+const MetricsVersion = 1
+
 // MetricsSummary is the serializable digest of a Metrics registry.
 type MetricsSummary struct {
 	SchemaVersion        int                    `json:"v"`
@@ -114,7 +118,7 @@ func summarize(m map[string]*Histogram) map[string]HistSummary {
 // Summary digests every histogram.
 func (m *Metrics) Summary() MetricsSummary {
 	return MetricsSummary{
-		SchemaVersion:        SchemaVersion,
+		SchemaVersion:        MetricsVersion,
 		BlockingPerThread:    summarize(m.blockingPerThread),
 		HoldPerMonitor:       summarize(m.holdPerMonitor),
 		ContentionPerMonitor: summarize(m.contentionPerMonitor),

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"strings"
-
 	"repro/internal/simtime"
 	"repro/internal/trace"
 )
@@ -231,7 +229,7 @@ func (o *Observer) revokeRequested(e trace.Event) {
 		Requester:   e.Other,
 		Victim:      e.Thread,
 		Monitor:     e.Object,
-		Reason:      parseReason(e.Detail),
+		Reason:      e.Detail,
 		RequestedAt: e.At,
 	}
 	if d, ok := o.lastDetect[e.Object]; ok && d.requester == e.Other {
@@ -254,7 +252,7 @@ func (o *Observer) revokeDenied(e trace.Event) {
 	}
 	o.chains = append(o.chains, &Chain{
 		ID: len(o.chains) + 1, Victim: e.Thread, Monitor: e.Object,
-		RequestedAt: e.At, Denied: true, Reason: parseReason(e.Detail),
+		RequestedAt: e.At, Denied: true,
 	})
 }
 
@@ -327,20 +325,6 @@ func (o *Observer) reexecution(e trace.Event) {
 		c.ReexecutedAt = e.At
 		delete(o.awaitingReexec, key)
 	}
-}
-
-// parseReason extracts the reason=... token from an event detail.
-func parseReason(detail string) string {
-	const p = "reason="
-	i := strings.Index(detail, p)
-	if i < 0 {
-		return ""
-	}
-	rest := detail[i+len(p):]
-	if j := strings.IndexByte(rest, ' '); j >= 0 {
-		return rest[:j]
-	}
-	return rest
 }
 
 // ---------------------------------------------------------------------------

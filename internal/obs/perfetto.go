@@ -2,10 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/trace"
 )
@@ -120,6 +118,9 @@ func WritePerfetto(w io.Writer, o *Observer) error {
 			continue
 		}
 		args := map[string]any{"detail": e.Detail}
+		if l := trace.AuxLabel(e.Kind); l != "" {
+			args[l] = e.Aux
+		}
 		if e.Object != "" {
 			args["monitor"] = e.Object
 		}
@@ -227,8 +228,8 @@ func WritePerfetto(w io.Writer, o *Observer) error {
 	}
 
 	// Total undo-log depth: MonitorAcquired/MonitorExit carry the emitting
-	// thread's undo-log length in N; Rollback reports the replayed entry
-	// count in its detail ("undone=K"). Summed across threads.
+	// thread's undo-log length in N; Rollback carries the replayed entry
+	// count in Aux. Summed across threads.
 	logDepth := make(map[string]int64)
 	totalDepth, lastDepth := int64(0), int64(0)
 	depthTs := int64(-1)
@@ -251,8 +252,8 @@ func WritePerfetto(w io.Writer, o *Observer) error {
 			totalDepth += e.N - logDepth[e.Thread]
 			logDepth[e.Thread] = e.N
 		case trace.Rollback:
-			if u := parseUndone(e.Detail); u > 0 {
-				d := logDepth[e.Thread] - u
+			if e.Aux > 0 {
+				d := logDepth[e.Thread] - e.Aux
 				if d < 0 {
 					d = 0
 				}
@@ -287,16 +288,4 @@ func WritePerfetto(w io.Writer, o *Observer) error {
 		"traceEvents":     events,
 		"displayTimeUnit": "ms",
 	})
-}
-
-// parseUndone extracts K from an "undone=K" token in a rollback event's
-// detail string; 0 when absent.
-func parseUndone(detail string) int64 {
-	for _, f := range strings.Fields(detail) {
-		var v int64
-		if _, err := fmt.Sscanf(f, "undone=%d", &v); err == nil {
-			return v
-		}
-	}
-	return 0
 }

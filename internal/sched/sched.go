@@ -274,13 +274,10 @@ func New(cfg Config) *Scheduler {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = DefaultQuantum
 	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.Discard
-	}
 	return &Scheduler{
 		cfg:    cfg,
 		clock:  simtime.NewClock(),
-		tracer: cfg.Tracer,
+		tracer: trace.Join(cfg.Tracer),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		back:   make(chan *Thread),
 	}
@@ -291,6 +288,20 @@ func (s *Scheduler) Clock() *simtime.Clock { return s.clock }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() simtime.Ticks { return s.clock.Now() }
+
+// Emit stamps e with the current virtual time and delivers it to the
+// tracer: the one emit path of sched and core. With no subscriber the
+// tracer is nil and Emit returns at once.
+func (s *Scheduler) Emit(e trace.Event) {
+	if s.tracer != nil {
+		e.At = s.clock.Now()
+		s.tracer.Emit(e)
+	}
+}
+
+// Tracing reports whether any subscriber receives events. Callers guard
+// payloads that need formatting with it.
+func (s *Scheduler) Tracing() bool { return s.tracer != nil }
 
 // Rng returns the deterministic random source (seeded from Config.Seed).
 func (s *Scheduler) Rng() *rand.Rand { return s.rng }
@@ -339,7 +350,7 @@ func (s *Scheduler) Spawn(name string, prio Priority, body func(*Thread)) *Threa
 	if s.current != nil {
 		spawner = s.current.name
 	}
-	s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.ThreadStart, Thread: name, Other: spawner, N: int64(prio), Detail: fmt.Sprintf("prio=%d", prio)})
+	s.Emit(trace.Event{Kind: trace.ThreadStart, Thread: name, Other: spawner, N: int64(prio)})
 	return t
 }
 
@@ -358,7 +369,7 @@ func (t *Thread) top() {
 		}
 		t.state = StateDone
 		t.endedAt = t.sch.clock.Now()
-		t.sch.tracer.Emit(trace.Event{At: t.endedAt, Kind: trace.ThreadEnd, Thread: t.name})
+		t.sch.Emit(trace.Event{Kind: trace.ThreadEnd, Thread: t.name})
 		t.sch.back <- t
 	}()
 	t.body(t)
@@ -436,7 +447,7 @@ func (s *Scheduler) Run() error {
 			// Nobody runnable: jump to the next timer if one exists.
 			before := s.clock.Now()
 			if s.clock.AdvanceToNext() {
-				s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.SchedIdle, N: int64(s.clock.Now() - before)})
+				s.Emit(trace.Event{Kind: trace.SchedIdle, N: int64(s.clock.Now() - before)})
 				if s.OnIdle != nil {
 					s.OnIdle(s.clock.Now() - before)
 				}
@@ -480,7 +491,7 @@ func (s *Scheduler) dispatch(t *Thread) {
 	// N carries the dispatch cost just paid so stream consumers (the causal
 	// DAG) can recover the previous thread's exact yield moment without
 	// knowing the scheduler configuration.
-	s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.ContextSwitch, Thread: t.name, N: int64(s.cfg.SwitchCost)})
+	s.Emit(trace.Event{Kind: trace.ContextSwitch, Thread: t.name, N: int64(s.cfg.SwitchCost)})
 	t.resume <- resumeMsg{}
 	<-s.back
 	s.current = nil
@@ -609,7 +620,7 @@ func (t *Thread) Sleep(d simtime.Ticks) {
 		t.Yield()
 		return
 	}
-	t.sch.tracer.Emit(trace.Event{At: t.sch.clock.Now(), Kind: trace.Sleep, Thread: t.name, N: int64(d)})
+	t.sch.Emit(trace.Event{Kind: trace.Sleep, Thread: t.name, N: int64(d)})
 	t.sch.clock.ScheduleAfter(d, t)
 	t.yieldToScheduler(StateSleeping, "sleep")
 }

@@ -500,3 +500,24 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// TestEmitSkipsWithoutSubscriber pins the one emit path: Emit stamps the
+// current virtual time, and a nil or Discard tracer counts as no
+// subscriber, so Tracing reports false and nothing is delivered.
+func TestEmitSkipsWithoutSubscriber(t *testing.T) {
+	for _, sink := range []trace.Sink{nil, trace.Discard} {
+		if New(Config{Tracer: sink}).Tracing() {
+			t.Errorf("Tracing() with tracer %v = true", sink)
+		}
+	}
+	var rec trace.Recorder
+	s := New(Config{Tracer: &rec})
+	if !s.Tracing() {
+		t.Fatal("Tracing() with a recorder = false")
+	}
+	s.Clock().Advance(5)
+	s.Emit(trace.Event{At: 99, Kind: trace.Custom})
+	if e, ok := rec.First(trace.Custom); !ok || e.At != 5 {
+		t.Errorf("emitted %+v (ok=%v), want At stamped to 5", e, ok)
+	}
+}

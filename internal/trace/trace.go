@@ -45,16 +45,13 @@ const (
 	// RaceDetected records a data race confirmed by the dynamic sanitizer
 	// (internal/race): two accesses to one slot, at least one a write,
 	// unordered by happens-before — and neither retracted by a rollback.
-	// Thread is the later accessor, Other the earlier one, Object the slot,
-	// N the number of deduplicated occurrences of the same site pair.
 	RaceDetected
-	// Sleep records a thread parking on the virtual-time timer queue for N
-	// ticks. Without it, sleeps are invisible in the stream and the causal
-	// DAG (internal/causal) cannot bound the idle jumps they cause.
+	// Sleep records a thread parking on the virtual-time timer queue, so
+	// the causal DAG (internal/causal) can bound the idle jumps it causes.
 	Sleep
-	// SchedIdle records the scheduler jumping the clock forward by N ticks
-	// because no thread was runnable (all sleeping on timers). Thread is
-	// empty; At is the post-jump time, so the idle interval is [At-N, At).
+	// SchedIdle records the scheduler jumping the clock forward because no
+	// thread was runnable (all sleeping on timers). At is the post-jump
+	// time, so the idle interval is [At-N, At).
 	SchedIdle
 )
 
@@ -138,21 +135,62 @@ func ValidKind(k Kind) bool {
 	return k >= 0 && int(k) < numKinds && kindNames[k] != ""
 }
 
-// Event is one timestamped occurrence. Beyond the acting thread, events
-// that describe an interaction carry the counterpart thread in Other so
-// consumers can join causally related events without parsing Detail:
-// MonitorBlocked names the holder that caused the wait, RevokeRequested /
-// Rollback name the requesting (high-priority) thread. N is a per-kind
-// numeric payload: the rolled-back span's wasted CPU ticks on Rollback,
-// the retry attempt on Reexecution, the base priority on ThreadStart.
+// Event is one timestamped occurrence. Payloads are typed: numbers live in
+// N and Aux, and Detail only ever holds "", a constant or a name the
+// runtime already has, so no consumer parses it. Other names the
+// counterpart thread. This is the one table of per-kind payloads (kinds
+// not listed carry none):
+//
+//	kind                N                  Aux                 Other       Detail
+//	thread-start        base priority                          spawner
+//	context-switch      switch cost ticks
+//	monitor-enter                                                          "contended"
+//	monitor-acquired    undo-log length    section depth                   "" or "elided"
+//	monitor-blocked                                            holder      "" or "queued"
+//	monitor-exit        undo-log length                                    "" or "elided"
+//	inversion-detected                     owner's priority    holder      "" or "periodic-scan"
+//	revoke-requested                       target depth (0:    requester   reason token
+//	                                       a pending grant)
+//	revoke-denied                                                          non-revocability reason
+//	rollback            wasted CPU ticks   entries undone      requester   reason token
+//	re-execution        attempt                                            "" or "engine"
+//	non-revocable, static-premark                                          reason
+//	deadlock-detected                                                      cycle "[thread->monitor ...]"
+//	notify                                                                 "" or "all"
+//	native-call                                                            method name
+//	volatile-read/write                                                    field name ("" for statics)
+//	race-detected       occurrences                            earlier     access kinds and sites
+//	sleep               ticks
+//	sched-idle          ticks skipped
+//
+// Reason tokens are "priority-inversion" and "deadlock". Exporters label
+// Aux (AuxLabel) only when they render.
 type Event struct {
 	At     simtime.Ticks
 	Kind   Kind
 	Thread string // name of the acting thread ("" for scheduler events)
 	Object string // monitor or object involved, if any
-	Other  string // counterpart thread: holder on blocked, requester on revocations
-	N      int64  // numeric payload (kind-specific); zero when unused
-	Detail string // free-form context
+	Other  string // counterpart thread
+	N      int64  // first numeric payload; zero when unused
+	Aux    int64  // second numeric payload; zero when unused
+	Detail string // constant or runtime-held name; never parsed
+}
+
+// auxLabels names the Aux payload of the kinds that carry one.
+var auxLabels = [numKinds]string{
+	MonitorAcquired:   "depth",
+	InversionDetected: "owner-prio",
+	RevokeRequested:   "depth",
+	Rollback:          "undone",
+}
+
+// AuxLabel returns the export label of k's Aux payload, or "" when the
+// kind carries none.
+func AuxLabel(k Kind) string {
+	if ValidKind(k) {
+		return auxLabels[k]
+	}
+	return ""
 }
 
 // String renders the event on one line.
@@ -170,6 +208,9 @@ func (e Event) String() string {
 	}
 	if e.N != 0 {
 		fmt.Fprintf(&b, " n=%d", e.N)
+	}
+	if l := AuxLabel(e.Kind); l != "" {
+		fmt.Fprintf(&b, " %s=%d", l, e.Aux)
 	}
 	if e.Detail != "" {
 		fmt.Fprintf(&b, " %s", e.Detail)
@@ -294,3 +335,23 @@ var Discard Sink = discard{}
 type discard struct{}
 
 func (discard) Emit(Event) {}
+
+// Join combines sinks into one, dropping nil and Discard entries: the
+// result is nil when nothing subscribes, the single subscriber itself, or
+// a Multi. The runtime keeps the joined sink and skips emission entirely
+// when it is nil.
+func Join(sinks ...Sink) Sink {
+	var m Multi
+	for _, s := range sinks {
+		if s != nil && s != Discard {
+			m = append(m, s)
+		}
+	}
+	switch len(m) {
+	case 0:
+		return nil
+	case 1:
+		return m[0]
+	}
+	return m
+}

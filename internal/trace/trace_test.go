@@ -24,6 +24,41 @@ func TestEventString(t *testing.T) {
 	}
 }
 
+// TestEventStringLabelsAux pins that Aux is labelled per kind only at
+// render time: the label comes from the kind, never from Detail.
+func TestEventStringLabelsAux(t *testing.T) {
+	e := Event{At: 7, Kind: Rollback, Thread: "lo", Other: "hi", N: 120, Aux: 3, Detail: "priority-inversion"}
+	s := e.String()
+	for _, want := range []string{"n=120", "undone=3", "priority-inversion"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("Event.String() = %q, missing %q", s, want)
+		}
+	}
+	if AuxLabel(MonitorAcquired) != "depth" || AuxLabel(ContextSwitch) != "" || AuxLabel(Kind(-1)) != "" {
+		t.Errorf("AuxLabel: acquired %q, switch %q, invalid %q", AuxLabel(MonitorAcquired), AuxLabel(ContextSwitch), AuxLabel(Kind(-1)))
+	}
+}
+
+// TestJoin pins the subscriber rule the runtime relies on: nil and Discard
+// are "nothing", so joining only them yields a nil sink.
+func TestJoin(t *testing.T) {
+	if s := Join(); s != nil {
+		t.Errorf("Join() = %v, want nil", s)
+	}
+	if s := Join(nil, Discard); s != nil {
+		t.Errorf("Join(nil, Discard) = %v, want nil", s)
+	}
+	var a, b Recorder
+	if s := Join(Discard, &a); s != Sink(&a) {
+		t.Errorf("Join(Discard, &a) = %v, want &a itself", s)
+	}
+	s := Join(&a, nil, &b)
+	s.Emit(Event{Kind: Custom})
+	if a.Len() != 1 || b.Len() != 1 {
+		t.Errorf("Join(&a, nil, &b) delivered %d and %d events, want 1 and 1", a.Len(), b.Len())
+	}
+}
+
 func TestEventStringOmitsEmptyFields(t *testing.T) {
 	e := Event{At: 1, Kind: ContextSwitch}
 	s := e.String()
