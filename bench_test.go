@@ -273,20 +273,13 @@ func BenchmarkMonitorEnterExit(b *testing.B) {
 
 // BenchmarkContextSwitch measures a scheduler round trip between two
 // threads.
-func BenchmarkContextSwitch(b *testing.B) {
-	s := sched.New(sched.Config{Quantum: 1})
-	mk := func(name string) {
-		s.Spawn(name, sched.NormPriority, func(th *sched.Thread) {
-			for i := 0; i < b.N; i++ {
-				th.Yield()
-			}
-		})
-	}
-	mk("a")
-	mk("b")
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
+func BenchmarkContextSwitch(b *testing.B) { bench.ContextSwitchBench(b) }
+
+// BenchmarkInterpInvokeReturn measures one steady-state INVOKE/RETURN
+// pair (with its loop) on every tier; allocs/op must be 0.
+func BenchmarkInterpInvokeReturn(b *testing.B) {
+	for _, tier := range bench.Tiers {
+		b.Run(tier.String(), bench.InterpInvokeReturnBench(tier))
 	}
 }
 

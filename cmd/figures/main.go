@@ -52,7 +52,7 @@ func main() {
 		cell     = flag.String("cell", "", "run one cell instead: \"HIGH+LOW@WRITES%\", e.g. \"2+8@40\" (uses -figure for the variant)")
 		jsonOut  = flag.String("json", "", "append wall-clock benchmark results to this JSON file instead of rendering figures")
 		label    = flag.String("label", "current", "label recorded with -json results")
-		gateDir  = flag.String("gate", "", "bench-regression gate: compare key ns/op against the newest BENCH_*.json in this directory, exit 1 on regression")
+		gateDir  = flag.String("gate", "", "bench-regression gate: compare each key ns/op against its newest measurement in this directory's BENCH_*.json files, exit 1 on regression")
 		gateOut  = flag.String("gate-json", "", "with -gate, also write the fresh gate measurements to this JSON file (the CI artifact)")
 		gatePct  = flag.Float64("gate-threshold", 20, "with -gate, regression threshold in percent")
 		fleet    = flag.Bool("fleet", false, "merge flight-recorder dumps and BENCH_*.json files (positional args) into a fleet SLO report")
@@ -216,8 +216,8 @@ func runJSONReport(path, label string) {
 }
 
 // runGate re-measures the key micro-benchmarks (best of three) and fails
-// the process when any ns/op regresses past the threshold relative to the
-// newest committed trajectory entry in dir. With outPath, the fresh
+// the process when any ns/op regresses past the threshold relative to its
+// newest committed measurement in dir's trajectory files. With outPath, the fresh
 // measurements are appended there as a new trajectory entry so CI can
 // upload them as an artifact.
 func runGate(dir, outPath, label string, thresholdPct float64) {
@@ -254,10 +254,10 @@ func runGate(dir, outPath, label string, thresholdPct float64) {
 		fmt.Fprintf(os.Stderr, "wrote gate measurements to %s\n", outPath)
 	}
 	if g.Failed() {
-		fatal(fmt.Errorf("bench gate FAILED: key ns/op regressed >%.0f%% vs %s (label %q, %s)",
+		fatal(fmt.Errorf("bench gate FAILED: key ns/op regressed >%.0f%% vs the trajectory up to %s (label %q, %s)",
 			thresholdPct, g.BaselinePath, g.BaselineLabel, g.BaselineDate))
 	}
-	fmt.Fprintf(os.Stderr, "bench gate passed: %d benchmarks within %.0f%% of %s (label %q, %s)\n",
+	fmt.Fprintf(os.Stderr, "bench gate passed: %d benchmarks within %.0f%% of the trajectory up to %s (label %q, %s)\n",
 		len(g.Entries), thresholdPct, g.BaselinePath, g.BaselineLabel, g.BaselineDate)
 }
 

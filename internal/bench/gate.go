@@ -1,7 +1,7 @@
 // CI bench-regression gate: re-measures the key wall-clock
-// micro-benchmarks and compares them against the most recent committed
-// results/BENCH_*.json trajectory entry, failing when any key ns/op
-// regresses past a threshold.
+// micro-benchmarks and compares each against its most recent committed
+// measurement in the results/BENCH_*.json trajectory, failing when any key
+// ns/op regresses past a threshold.
 package bench
 
 import (
@@ -33,7 +33,8 @@ type KeyBench struct {
 // "nonrevocable" enter interpreted sections take and the "confined"
 // charge-only no-op a certified whole-monitor elision compiles to), the
 // ConfinedMonitorEnterExit off/on pair the escape analysis buys end to
-// end, and the execution-tier dispatch comparison.
+// end, the execution-tier dispatch comparison, the interpreter's
+// call/return pair on every tier, and the scheduler's context switch.
 func KeyBenches() []KeyBench {
 	kb := []KeyBench{
 		{"WriteBarrier", WriteBarrierBench},
@@ -54,6 +55,10 @@ func KeyBenches() []KeyBench {
 			kb = append(kb, KeyBench{"TierDispatch/" + p.Name + "/" + tier.String(), TierDispatchBench(p, tier)})
 		}
 	}
+	for _, tier := range Tiers {
+		kb = append(kb, KeyBench{"InterpInvokeReturn/" + tier.String(), InterpInvokeReturnBench(tier)})
+	}
+	kb = append(kb, KeyBench{"ContextSwitch", ContextSwitchBench})
 	return kb
 }
 
@@ -111,9 +116,34 @@ func LatestReport(dir string) (Report, string, bool, error) {
 	return Report{}, "", false, nil
 }
 
+// SeriesBaselines returns each benchmark's ns/op from the newest report in
+// dir's BENCH_*.json files that measured it. A trajectory entry recording
+// only some series (say, the before/after pair of one change) so leaves
+// every other series' baseline where it was.
+func SeriesBaselines(dir string) (map[string]float64, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(matches)
+	base := map[string]float64{}
+	for _, path := range matches { // oldest first: newer reports overwrite
+		reports, err := LoadReports(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range reports {
+			for _, b := range r.Benchmarks {
+				base[b.Name] = b.NsPerOp
+			}
+		}
+	}
+	return base, nil
+}
+
 // RunGate measures every key benchmark (best of gateReps) and compares it
-// against the latest committed trajectory entry in resultsDir. progress,
-// if non-nil, sees each verdict as it lands.
+// against its newest committed measurement in resultsDir (SeriesBaselines).
+// progress, if non-nil, sees each verdict as it lands.
 func RunGate(resultsDir, label, date string, threshold float64, progress func(GateEntry)) (GateResult, error) {
 	baseline, path, ok, err := LatestReport(resultsDir)
 	if err != nil {
@@ -122,9 +152,9 @@ func RunGate(resultsDir, label, date string, threshold float64, progress func(Ga
 	if !ok {
 		return GateResult{}, fmt.Errorf("bench: no BENCH_*.json trajectory in %s to gate against", resultsDir)
 	}
-	base := make(map[string]float64, len(baseline.Benchmarks))
-	for _, b := range baseline.Benchmarks {
-		base[b.Name] = b.NsPerOp
+	base, err := SeriesBaselines(resultsDir)
+	if err != nil {
+		return GateResult{}, err
 	}
 
 	g := GateResult{

@@ -62,3 +62,33 @@ func TestGateVerdicts(t *testing.T) {
 		t.Fatal("a regressed entry must fail the gate")
 	}
 }
+
+// TestSeriesBaselines checks that each series baselines against the newest
+// report that measured it, so a partial trajectory entry does not drop
+// the other series' baselines.
+func TestSeriesBaselines(t *testing.T) {
+	dir := t.TempDir()
+	full := Report{Label: "full", Benchmarks: []BenchResult{
+		{Name: "WriteBarrier", NsPerOp: 10}, {Name: "ContextSwitch", NsPerOp: 1000}}}
+	partial := Report{Label: "partial", Benchmarks: []BenchResult{
+		{Name: "ContextSwitch", NsPerOp: 900}, {Name: "InterpInvokeReturn/opt", NsPerOp: 300}}}
+	if err := WriteReport(filepath.Join(dir, "BENCH_2026-01-01.json"), full); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteReport(filepath.Join(dir, "BENCH_2026-02-01.json"), partial); err != nil {
+		t.Fatal(err)
+	}
+	base, err := SeriesBaselines(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"WriteBarrier": 10, "ContextSwitch": 900, "InterpInvokeReturn/opt": 300}
+	if len(base) != len(want) {
+		t.Fatalf("got %v, want %v", base, want)
+	}
+	for name, ns := range want {
+		if base[name] != ns {
+			t.Errorf("%s: baseline %v, want %v", name, base[name], ns)
+		}
+	}
+}

@@ -127,6 +127,13 @@ func RunReport(label, date string, progress func(BenchResult), latProgress func(
 		}
 	}
 
+	// The interpreter's call path on every tier, and the scheduler round
+	// trip every handoff between VM threads pays.
+	for _, tier := range Tiers {
+		add(measure("InterpInvokeReturn/"+tier.String(), InterpInvokeReturnBench(tier)))
+	}
+	add(measure("ContextSwitch", ContextSwitchBench))
+
 	// Barriers-vs-elided pair: identical program, with and without the
 	// static analysis; the stats record the elided-store counts.
 	for _, v := range []struct {

@@ -243,3 +243,85 @@ func TierDispatchBench(p TierProgram, tier interp.Tier) func(b *testing.B) {
 		}
 	}
 }
+
+// Tiers is every execution tier, in order.
+var Tiers = []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt}
+
+// invokeReturnSrc calls a 2-argument method from a loop run n times, n
+// being main's argument.
+const invokeReturnSrc = `
+method main args 1 locals 2 returns {
+  loop:
+    load 0
+    ifz done
+    load 0
+    load 1
+    invoke add2
+    store 1
+    load 0
+    const 1
+    sub
+    store 0
+    goto loop
+  done:
+    load 1
+    ireturn
+}
+method add2 args 2 locals 2 returns {
+    load 0
+    load 1
+    add
+    ireturn
+}
+`
+
+// InterpInvokeReturnBench measures one INVOKE/RETURN pair of a 2-argument
+// method on the given tier, with the loop around it: one iteration is one
+// pass of main's loop (11 instructions besides the callee's 4). A warm-up
+// call compiles, and on TierOpt promotes, both methods first, so the
+// timed call runs at steady state.
+func InterpInvokeReturnBench(tier interp.Tier) func(b *testing.B) {
+	return func(b *testing.B) {
+		prog := bytecode.MustAssemble(invokeReturnSrc)
+		rt := core.New(core.Config{Mode: core.Revocation, NoCosts: true, Sched: sched.Config{Quantum: 1 << 40}})
+		env, err := interp.NewEnv(rt, prog, interp.Options{Tier: tier})
+		if err != nil {
+			b.Fatal(err)
+		}
+		main, _ := prog.Method("main")
+		var callErr error
+		rt.Spawn("t", sched.NormPriority, func(tk *core.Task) {
+			if _, callErr = env.Call(tk, main, []heap.Word{2}); callErr != nil {
+				return
+			}
+			b.ResetTimer()
+			_, callErr = env.Call(tk, main, []heap.Word{heap.Word(b.N)})
+			b.StopTimer()
+		})
+		if err := rt.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if callErr != nil {
+			b.Fatal(callErr)
+		}
+	}
+}
+
+// ContextSwitchBench measures a scheduler round trip: one iteration is
+// two threads yielding to each other once each.
+func ContextSwitchBench(b *testing.B) {
+	s := sched.New(sched.Config{Quantum: 1})
+	mk := func(name string) {
+		s.Spawn(name, sched.NormPriority, func(th *sched.Thread) {
+			for i := 0; i < b.N; i++ {
+				th.Yield()
+			}
+		})
+	}
+	mk("a")
+	mk("b")
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

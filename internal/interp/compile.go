@@ -9,11 +9,12 @@ import (
 // This file is the reproduction's "optimizing compiler" analog (the Jikes
 // RVM optimizing compiler in the paper): methods are pre-decoded into
 // threaded code — one closure per instruction with operands captured — so
-// the hot path skips instruction fetch and opcode dispatch. Semantics are
-// identical to the switch interpreter (the closures fall back to exec for
-// the complex opcodes); every instruction remains a yield point and every
-// store keeps its write barrier, exactly as the paper requires for all
-// compiled code.
+// the hot path skips instruction fetch and opcode dispatch. Calls and
+// returns get dedicated closures with the callee's record bound at compile
+// time (compileCall, shared with tier 3). Semantics are identical to the
+// switch interpreter (the closures fall back to exec for the other complex
+// opcodes); every instruction remains a yield point and every store keeps
+// its write barrier, exactly as the paper requires for all compiled code.
 //
 // Enable with Options.Threaded. The BenchmarkCompilerTiers benchmark
 // (bench_test.go) measures the dispatch saving.
@@ -21,11 +22,12 @@ import (
 // opFunc executes one pre-decoded instruction, updating f.pc itself.
 type opFunc func(in *Interp, f *frame)
 
-// compile pre-decodes a method. The result is cached per Env.
-func (e *Env) compile(m *bytecode.Method) []opFunc {
-	if fns, ok := e.compiled[m]; ok {
-		return fns
+// compile pre-decodes a method. The result is cached in its record.
+func (e *Env) compile(r *methodRec) []opFunc {
+	if r.threaded != nil {
+		return r.threaded
 	}
+	m := r.m
 	cost := e.Opts.CostPerInstr
 	fns := make([]opFunc, len(m.Code))
 	for pc, instr := range m.Code {
@@ -34,6 +36,11 @@ func (e *Env) compile(m *bytecode.Method) []opFunc {
 		if e.raceOn && (instr.Op == bytecode.GETSTATIC || instr.Op == bytecode.PUTSTATIC) {
 			ins := instr
 			fns[pc] = func(in *Interp, f *frame) { in.exec(f, ins) }
+			continue
+		}
+		// Calls and returns stamp their own profiler site.
+		if fn := e.compileCall(r, pc, instr, cost); fn != nil {
+			fns[pc] = fn
 			continue
 		}
 		fn, dedicated := compileOne(instr, pc, cost)
@@ -54,8 +61,62 @@ func (e *Env) compile(m *bytecode.Method) []opFunc {
 	if e.profOn {
 		e.RT.Config().Profiler.SetFuncTier(m.Name, "threaded")
 	}
-	e.compiled[m] = fns
+	r.threaded = fns
 	return fns
+}
+
+// prologue returns exec's per-instruction prologue for the dedicated
+// closure of the instruction at pc: profiler stamp, tick charge, race-site
+// stamp. (The branch on the cached env flags is what exec pays too.) The
+// charge goes through Step when the constant cost fits in one quantum.
+func (e *Env) prologue(mname string, pc int, cost simtime.Ticks) func(*Interp) {
+	fastStep := cost <= e.RT.Scheduler().Quantum()
+	return func(in *Interp) {
+		if in.env.profOn {
+			in.task.SetProfSite(pc)
+		}
+		if fastStep {
+			in.task.Step(cost)
+		} else {
+			in.task.Work(cost)
+		}
+		if in.env.raceOn {
+			in.task.SetRaceSite(mname, pc)
+		}
+	}
+}
+
+// compileCall builds the closure of an INVOKE, RETURN or IRETURN in r at
+// pc, for both compiled tiers; it returns nil for any other instruction,
+// and for an INVOKE of an unknown method, which exec reports when it runs.
+// The INVOKE closure holds the callee's record, so a call performs no
+// lookup and no allocation.
+func (e *Env) compileCall(r *methodRec, pc int, instr bytecode.Instr, cost simtime.Ticks) opFunc {
+	switch instr.Op {
+	case bytecode.INVOKE:
+		callee := r.callee(pc)
+		if callee == nil {
+			return nil
+		}
+		head := e.prologue(r.m.Name, pc, cost)
+		return func(in *Interp, f *frame) {
+			head(in)
+			in.invoke(f, callee)
+		}
+	case bytecode.RETURN:
+		head := e.prologue(r.m.Name, pc, cost)
+		return func(in *Interp, f *frame) {
+			head(in)
+			in.returnFrom(f, 0)
+		}
+	case bytecode.IRETURN:
+		head := e.prologue(r.m.Name, pc, cost)
+		return func(in *Interp, f *frame) {
+			head(in)
+			in.returnFrom(f, f.pop())
+		}
+	}
+	return nil
 }
 
 // compileOne builds the closure for one instruction. Hot, simple opcodes
@@ -210,8 +271,8 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 		}, true
 	default:
 		// Everything else (heap object/array access with null checks,
-		// monitors, invoke/return, exceptions, natives, waits) keeps the
-		// interpreter's implementation.
+		// monitors, exceptions, natives, waits) keeps the interpreter's
+		// implementation.
 		ins := instr
 		return func(in *Interp, f *frame) {
 			in.exec(f, ins)

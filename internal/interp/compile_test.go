@@ -202,8 +202,8 @@ method main locals 0 returns {
 		t.Fatal(err)
 	}
 	m, _ := prog.Method("main")
-	f1 := env.compile(m)
-	f2 := env.compile(m)
+	f1 := env.compile(env.rec(m))
+	f2 := env.compile(env.rec(m))
 	if &f1[0] != &f2[0] {
 		t.Fatal("compile not cached")
 	}

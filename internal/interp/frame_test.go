@@ -55,11 +55,11 @@ func TestFrameReuseHazards(t *testing.T) {
 				t.Errorf("exec printed %s, want %s", got, want.printed)
 			}
 			for s, v := range want.statics {
-				got, err := staticNamed(rt, s)
-				if err != nil {
-					t.Fatal(err)
+				idx, ok := env.Prog.StaticIndex(s)
+				if !ok {
+					t.Fatalf("no static %q", s)
 				}
-				if got != v {
+				if got := rt.Heap().GetStatic(idx); got != v {
 					t.Errorf("exec: static %s = %d, want %d", s, got, v)
 				}
 			}
@@ -99,17 +99,6 @@ func runPlain(t *testing.T, src string, tier Tier, threshold int) tierFinalState
 		t.Fatalf("%s %v tier: %v", src, tier, err)
 	}
 	return finalState(rt, env)
-}
-
-// staticNamed reads a static by name from the runtime's heap.
-func staticNamed(rt *core.Runtime, name string) (heap.Word, error) {
-	h := rt.Heap()
-	for i := 0; i < h.NumStatics(); i++ {
-		if h.StaticName(i) == name {
-			return h.GetStatic(i), nil
-		}
-	}
-	return 0, fmt.Errorf("no static %q", name)
 }
 
 // reentrySrc calls a native that re-enters the interpreter through
@@ -197,5 +186,117 @@ func TestNativeReentryFrames(t *testing.T) {
 				t.Fatalf("main = %d, want 234", ret)
 			}
 		})
+	}
+}
+
+// invokeLoopSrc calls a 2-argument method from a loop run n times, n
+// being main's argument.
+const invokeLoopSrc = `
+method main args 1 locals 2 returns {
+  loop:
+    load 0
+    ifz done
+    load 0
+    load 1
+    invoke add2
+    store 1
+    load 0
+    const 1
+    sub
+    store 0
+    goto loop
+  done:
+    load 1
+    ireturn
+}
+method add2 args 2 locals 3 returns {
+    load 0
+    load 1
+    add
+    load 2
+    add
+    ireturn
+}
+`
+
+// TestInvokeReturnAllocFree pins the allocation-free call path: on every
+// tier, a whole run (runtime, Env, thread and interpreter set-up included)
+// allocates as much with 5000 call/return pairs as with 20, so a
+// steady-state INVOKE/RETURN pair allocates nothing. The slack of a few
+// allocations per run absorbs the Go runtime's own, which vary with GC
+// timing (a collection empties the caches that goroutine handoffs draw
+// on); one allocation per call would exceed it a thousandfold.
+func TestInvokeReturnAllocFree(t *testing.T) {
+	prog := bytecode.MustAssemble(invokeLoopSrc)
+	if err := bytecode.Verify(prog); err != nil {
+		t.Fatal(err)
+	}
+	main, _ := prog.Method("main")
+	for _, tier := range allTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			run := func(n int) func() {
+				return func() {
+					// One quantum covers the whole run: a single thread has
+					// nothing to switch to.
+					rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 1 << 40}})
+					env, err := NewEnv(rt, prog, Options{Tier: tier})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ret heap.Word
+					var callErr error
+					rt.Spawn("main", sched.NormPriority, func(tk *core.Task) {
+						ret, callErr = env.Call(tk, main, []heap.Word{heap.Word(n)})
+					})
+					if err := rt.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if want := heap.Word(n * (n + 1) / 2); callErr != nil || ret != want {
+						t.Fatalf("main(%d) = %d, %v; want %d", n, ret, callErr, want)
+					}
+				}
+			}
+			const slack = 5
+			few := testing.AllocsPerRun(20, run(20))
+			many := testing.AllocsPerRun(20, run(5000))
+			if many > few+slack {
+				t.Fatalf("%v tier: %.0f allocs per run with 5000 calls, %.0f with 20: the call path allocates", tier, many, few)
+			}
+		})
+	}
+}
+
+// TestPopFrameForgetsRollbackTarget pins the one exception to "no *frame
+// outlives its pop": a rollback in flight whose target frame is popped
+// stops naming it, so the frame object the next push reuses can never be
+// mistaken for the old target by CHECKTARGET.
+func TestPopFrameForgetsRollbackTarget(t *testing.T) {
+	prog := bytecode.MustAssemble("method main locals 1 {\n    return\n}\n")
+	env, err := NewEnv(core.New(core.Config{}), prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := prog.Method("main")
+	r := env.rec(m)
+	in := &Interp{env: env}
+	below := in.pushFrame(r)
+	target := in.pushFrame(r)
+	target.locals[0] = 9
+	in.pending = &inflight{rollback: true, targetFrame: target}
+	in.popFrame()
+	if in.pending.targetFrame != nil {
+		t.Fatal("popping the target frame left the rollback pointing at it")
+	}
+	again := in.pushFrame(r)
+	if again != target {
+		t.Fatal("pushFrame did not reuse the popped frame")
+	}
+	if again.locals[0] != 0 || again.pc != 0 || len(again.stack) != 0 {
+		t.Fatalf("reused frame not reset: pc %d locals %v stack %v", again.pc, again.locals, again.stack)
+	}
+	in.pending.targetFrame = below
+	in.popFrame()
+	if in.pending.targetFrame != below {
+		t.Fatal("popping a frame above the target cleared the target")
 	}
 }

@@ -141,17 +141,12 @@ type Env struct {
 	// regionAt maps (method, monitorenter pc) to the static region index.
 	regionAt map[*bytecode.Method]map[int]int
 
-	// compiled caches threaded code per method (TierThreaded, and TierOpt
-	// methods still below the hotness threshold).
-	compiled map[*bytecode.Method][]opFunc
-
-	// optCompiled caches fused superinstruction code per hot method
-	// (TierOpt only).
-	optCompiled map[*bytecode.Method][]opFunc
-
-	// calls counts method activations — TierOpt's invocation-count
-	// hotness feed and the per-tier method accounting for TierCounts.
-	calls map[*bytecode.Method]int
+	// recs holds each method's record: activation count, compiled code
+	// and resolved call sites. byName indexes the program's records by
+	// name, first occurrence winning as with Program.Method; it is only
+	// consulted when call sites are resolved, never per activation.
+	recs   map[*bytecode.Method]*methodRec
+	byName map[string]*methodRec
 
 	// confined caches, per method, the certificate-gated whole-monitor
 	// elision plan: pc -> confinedEnter/confinedExit for MONITORENTER/EXIT
@@ -211,21 +206,30 @@ func NewEnv(rt *core.Runtime, prog *bytecode.Program, opts Options) (*Env, error
 		}
 	}
 	e := &Env{
-		RT:          rt,
-		Prog:        prog,
-		Opts:        opts,
-		natives:     map[string]NativeFunc{},
-		objects:     map[heap.Word]*heap.Object{},
-		arrays:      map[heap.Word]*heap.Array{},
-		classOf:     map[heap.Word]*bytecode.Class{},
-		regionAt:    map[*bytecode.Method]map[int]int{},
-		compiled:    map[*bytecode.Method][]opFunc{},
-		optCompiled: map[*bytecode.Method][]opFunc{},
-		calls:       map[*bytecode.Method]int{},
-		confined:    map[*bytecode.Method]map[int]int8{},
-		raceOn:      rt.Config().Race != nil,
-		profOn:      rt.Config().Profiler != nil,
-		dlOn:        rt.Config().OnDeadlock != nil,
+		RT:       rt,
+		Prog:     prog,
+		Opts:     opts,
+		natives:  map[string]NativeFunc{},
+		objects:  map[heap.Word]*heap.Object{},
+		arrays:   map[heap.Word]*heap.Array{},
+		classOf:  map[heap.Word]*bytecode.Class{},
+		regionAt: map[*bytecode.Method]map[int]int{},
+		recs:     make(map[*bytecode.Method]*methodRec, len(prog.Methods)),
+		byName:   make(map[string]*methodRec, len(prog.Methods)),
+		confined: map[*bytecode.Method]map[int]int8{},
+		raceOn:   rt.Config().Race != nil,
+		profOn:   rt.Config().Profiler != nil,
+		dlOn:     rt.Config().OnDeadlock != nil,
+	}
+	for _, m := range prog.Methods {
+		r := &methodRec{m: m}
+		e.recs[m] = r
+		if _, dup := e.byName[m.Name]; !dup {
+			e.byName[m.Name] = r
+		}
+	}
+	for _, r := range e.recs {
+		e.resolveSites(r)
 	}
 	for _, s := range prog.Statics {
 		rt.Heap().DefineStatic(s.Name, s.Volatile, heap.Word(s.Init))
@@ -294,22 +298,70 @@ func (e *Env) Array(ref heap.Word) (*heap.Array, bool) {
 // closures (including TierOpt methods still below the hotness threshold),
 // and exec methods run on the switch interpreter.
 func (e *Env) TierCounts() (exec, threaded, opt int) {
-	opt = len(e.optCompiled)
-	for m := range e.compiled {
-		if _, ok := e.optCompiled[m]; !ok {
+	for _, r := range e.recs {
+		switch {
+		case r.fused != nil:
+			opt++
+		case r.threaded != nil:
 			threaded++
+		case r.calls > 0:
+			exec++
 		}
-	}
-	for m := range e.calls {
-		if _, ok := e.compiled[m]; ok {
-			continue
-		}
-		if _, ok := e.optCompiled[m]; ok {
-			continue
-		}
-		exec++
 	}
 	return exec, threaded, opt
+}
+
+// methodRec is the Env's record of one method: its activation count, its
+// compiled code, and the callee of each of its call sites. Call sites hold
+// the callee's record (bound when the code is compiled, or by NewEnv for
+// the exec tier), so an activation performs no map operation and no name
+// lookup.
+type methodRec struct {
+	m *bytecode.Method
+	// calls counts activations: TierOpt's invocation-count hotness feed
+	// and the per-tier method accounting of TierCounts.
+	calls int
+	// threaded is the pre-decoded code (TierThreaded, and TierOpt below
+	// the hotness threshold); fused is TierOpt's code once hot.
+	threaded, fused []opFunc
+	// callees maps each INVOKE and SPAWN pc to its target's record; nil
+	// when m has no call sites, and a nil entry for an unknown name.
+	callees []*methodRec
+}
+
+// callee returns the record a call site at pc resolved to, or nil.
+func (r *methodRec) callee(pc int) *methodRec {
+	if pc < len(r.callees) {
+		return r.callees[pc]
+	}
+	return nil
+}
+
+// resolveSites binds each INVOKE and SPAWN site of r to its target's
+// record through the name index. An unknown name stays nil and fails when
+// the site executes, as a name lookup at that point would.
+func (e *Env) resolveSites(r *methodRec) {
+	for pc, ins := range r.m.Code {
+		if ins.Op != bytecode.INVOKE && ins.Op != bytecode.SPAWN {
+			continue
+		}
+		if r.callees == nil {
+			r.callees = make([]*methodRec, len(r.m.Code))
+		}
+		r.callees[pc] = e.byName[ins.S]
+	}
+}
+
+// rec returns m's record. A method outside the program (callable through
+// Env.Call) gets one on first use.
+func (e *Env) rec(m *bytecode.Method) *methodRec {
+	r, ok := e.recs[m]
+	if !ok {
+		r = &methodRec{m: m}
+		e.recs[m] = r
+		e.resolveSites(r)
+	}
+	return r
 }
 
 // regionIndex returns the static sync-region index whose MONITORENTER sits
@@ -357,7 +409,7 @@ func (e *Env) Call(t *core.Task, m *bytecode.Method, args []heap.Word) (heap.Wor
 		// frames; popping back to profBase restores them on any exit.
 		in.profBase = t.ProfDepth()
 	}
-	in.pushFrame(m, args)
+	copy(in.pushFrame(e.rec(m)).locals, args)
 	return in.Execute()
 }
 
@@ -387,9 +439,11 @@ type activeSync struct {
 	coreDepth int
 }
 
-// frame is one method activation.
+// frame is one method activation. Frames are owned by their Interp and
+// reused: see pushFrame.
 type frame struct {
 	m      *bytecode.Method
+	rec    *methodRec
 	pc     int
 	locals []heap.Word
 	stack  []heap.Word
@@ -409,7 +463,8 @@ func (f *frame) pop() heap.Word {
 // inflight is the exception being dispatched (rollback or user).
 type inflight struct {
 	rollback bool
-	// Rollback state.
+	// Rollback state. targetFrame is the live frame holding the target
+	// region, or nil once that frame has been popped (see popFrame).
 	info         core.RevokeInfo
 	targetFrame  *frame
 	targetRegion int
@@ -423,8 +478,10 @@ type inflight struct {
 
 // Interp executes one thread's activations.
 type Interp struct {
-	env    *Env
-	task   *core.Task
+	env  *Env
+	task *core.Task
+	// frames is the activation stack. Its backing array keeps the frames
+	// popped off it, which pushFrame reuses.
 	frames []*frame
 
 	pending *inflight
@@ -435,31 +492,97 @@ type Interp struct {
 	// profBase is the task's profiler call-stack depth when this Interp
 	// started; the profiler stack mirrors frames above it.
 	profBase int
-
-	// argBuf is scratch for the fused tier's compile-time-resolved INVOKE:
-	// arguments are popped into it and immediately copied out by pushFrame,
-	// with no yield point in between, so one buffer serves every call.
-	argBuf []heap.Word
 }
 
-func (in *Interp) pushFrame(m *bytecode.Method, args []heap.Word) {
-	f := &frame{
-		m:      m,
-		locals: make([]heap.Word, m.Locals),
-		stack:  make([]heap.Word, 0, m.MaxStack),
+// pushFrame activates r on top of the frame stack and returns the new
+// frame, whose locals are all 0; the caller stores the arguments.
+//
+// The frame object, its locals, operand stack and section list are those
+// an earlier pop left past len(in.frames), reused whenever their capacity
+// suffices, so a steady-state call allocates nothing. This is safe because
+// no *frame is used after its pop: execution always continues from
+// in.top(), and the one pointer kept across instructions,
+// inflight.targetFrame, is cleared by popFrame when its frame goes.
+func (in *Interp) pushFrame(r *methodRec) *frame {
+	m := r.m
+	r.calls++
+	n := len(in.frames)
+	if n < cap(in.frames) {
+		in.frames = in.frames[:n+1]
+	} else {
+		in.frames = append(in.frames, nil)
 	}
-	in.env.calls[m]++
+	f := in.frames[n]
+	if f == nil {
+		f = new(frame)
+		in.frames[n] = f
+	}
+	f.m, f.rec, f.pc = m, r, 0
+	if cap(f.locals) < m.Locals {
+		f.locals = make([]heap.Word, m.Locals)
+	} else {
+		f.locals = f.locals[:m.Locals]
+		clear(f.locals)
+	}
+	if cap(f.stack) < m.MaxStack {
+		f.stack = make([]heap.Word, 0, m.MaxStack)
+	} else {
+		f.stack = f.stack[:0]
+	}
+	f.syncs = f.syncs[:0]
 	switch in.env.Opts.Tier {
 	case TierThreaded:
-		f.fns = in.env.compile(m)
+		f.fns = in.env.compile(r)
 	case TierOpt:
-		f.fns = in.env.compileTiered(m)
+		f.fns = in.env.compileTiered(r)
 	}
-	copy(f.locals, args)
-	in.frames = append(in.frames, f)
 	if in.env.profOn {
 		in.task.ProfPush(m.Name)
 	}
+	return f
+}
+
+// popFrame discards the top frame. A rollback in flight forgets the frame
+// as its target, so the next pushFrame can reuse the object without a
+// later CHECKTARGET mistaking the new activation for the old one.
+func (in *Interp) popFrame() {
+	n := len(in.frames) - 1
+	if p := in.pending; p != nil && p.targetFrame == in.frames[n] {
+		p.targetFrame = nil
+	}
+	in.frames = in.frames[:n]
+	in.profSync()
+}
+
+// invoke activates callee with its arguments popped off the caller's
+// operand stack. The caller's pc stays at the INVOKE while the callee
+// runs, so an exception propagating out of the callee dispatches against
+// the call site; returnFrom advances it.
+func (in *Interp) invoke(caller *frame, callee *methodRec) {
+	f := in.pushFrame(callee)
+	for i := callee.m.Args - 1; i >= 0; i-- {
+		f.locals[i] = caller.pop()
+	}
+}
+
+// returnFrom pops f, the top frame, passing v to the caller when f's
+// method returns a value and stepping the caller past its INVOKE.
+func (in *Interp) returnFrom(f *frame, v heap.Word) {
+	if len(f.syncs) != 0 {
+		in.fail("%s: return with %d synchronized sections active", f.m.Name, len(f.syncs))
+		return
+	}
+	returns := f.m.Returns
+	in.popFrame()
+	if len(in.frames) == 0 {
+		in.ret = v
+		return
+	}
+	caller := in.top()
+	if returns {
+		caller.push(v)
+	}
+	caller.pc++
 }
 
 // profSync re-aligns the profiler's call stack with in.frames after any
@@ -884,40 +1007,19 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 		in.task.NotifyAll(m)
 
 	case bytecode.INVOKE:
-		callee, ok := in.env.Prog.Method(instr.S)
-		if !ok {
+		callee := f.rec.callee(f.pc)
+		if callee == nil {
 			in.fail("%s@%d: unknown method %q", f.m.Name, f.pc, instr.S)
 			return
 		}
-		args := make([]heap.Word, callee.Args)
-		for i := callee.Args - 1; i >= 0; i-- {
-			args[i] = f.pop()
-		}
-		// The caller's pc stays at the INVOKE while the callee runs, so
-		// an exception propagating out of the callee dispatches against
-		// the call site; RETURN advances it.
-		in.pushFrame(callee, args)
+		in.invoke(f, callee)
 		return
 	case bytecode.RETURN, bytecode.IRETURN:
 		var v heap.Word
 		if instr.Op == bytecode.IRETURN {
 			v = f.pop()
 		}
-		if len(f.syncs) != 0 {
-			in.fail("%s: return with %d synchronized sections active", f.m.Name, len(f.syncs))
-			return
-		}
-		in.frames = in.frames[:len(in.frames)-1]
-		in.profSync()
-		if len(in.frames) == 0 {
-			in.ret = v
-			return
-		}
-		caller := in.top()
-		if f.m.Returns {
-			caller.push(v)
-		}
-		caller.pc++ // step past the INVOKE
+		in.returnFrom(f, v)
 		return
 
 	case bytecode.THROW:
@@ -947,11 +1049,12 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 		in.task.Sleep(simtime.Ticks(f.pop()))
 
 	case bytecode.SPAWN:
-		callee, ok := in.env.Prog.Method(instr.S)
-		if !ok {
+		r := f.rec.callee(f.pc)
+		if r == nil {
 			in.fail("%s@%d: spawn of unknown method %q", f.m.Name, f.pc, instr.S)
 			return
 		}
+		callee := r.m
 		args := make([]heap.Word, callee.Args)
 		for i := callee.Args - 1; i >= 0; i-- {
 			args[i] = f.pop()
@@ -1117,8 +1220,7 @@ func (in *Interp) dispatchUser() {
 		for i := len(f.syncs) - 1; i >= 0; i-- {
 			in.task.EngineExit(f.syncs[i].mon)
 		}
-		in.frames = in.frames[:len(in.frames)-1]
-		in.profSync()
+		in.popFrame()
 		if len(in.frames) > 0 {
 			p.faultPC = in.top().pc
 			p.nextHandler = 0
@@ -1193,8 +1295,7 @@ func (in *Interp) dispatchRollback() {
 		}
 		// The activation was called inside the doomed section: discard it.
 		// Its monitors were already force-released by the rollback.
-		in.frames = in.frames[:len(in.frames)-1]
-		in.profSync()
+		in.popFrame()
 		if len(in.frames) > 0 {
 			p.faultPC = in.top().pc
 			p.nextHandler = 0

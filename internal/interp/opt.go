@@ -18,7 +18,7 @@ import (
 //     that steps through a pre-decoded micro-op array, eliminating the
 //     per-instruction indirect call and loop overhead of threaded code;
 //   - calls, allocations and natives are resolved once at compile time
-//     (method pointer, class field specs, native function) instead of
+//     (callee record, class field specs, native function) instead of
 //     per-execution name lookups;
 //   - monitorenter sites whose sections the static analysis proved
 //     non-revocable compile to a specialized entry that fuses the enter
@@ -35,33 +35,32 @@ import (
 // produced by rewrite.ApplyStaticElision. The three-tier property tests
 // pin heap/Stats/clock equivalence over every example program.
 
-// compileTiered returns the code for one activation of m under TierOpt:
+// compileTiered returns the code for one activation of r under TierOpt:
 // fused code once hot, threaded code until then. (The activation count
 // was already bumped by pushFrame.)
-func (e *Env) compileTiered(m *bytecode.Method) []opFunc {
-	if fns, ok := e.optCompiled[m]; ok {
-		return fns
+func (e *Env) compileTiered(r *methodRec) []opFunc {
+	if r.fused != nil {
+		return r.fused
 	}
-	if e.hot(m) {
-		fns := e.compileOpt(m)
-		e.optCompiled[m] = fns
+	if e.hot(r) {
+		r.fused = e.compileOpt(r)
 		if e.profOn {
-			e.RT.Config().Profiler.SetFuncTier(m.Name, "opt")
+			e.RT.Config().Profiler.SetFuncTier(r.m.Name, "opt")
 		}
-		return fns
+		return r.fused
 	}
-	return e.compile(m)
+	return e.compile(r)
 }
 
 // hot applies the deterministic hotness thresholds: activation count, or
 // profiler-attributed work ticks. Both feeds are functions of the
 // deterministic virtual-time execution, so recompilation points — and
 // therefore entire runs — are reproducible.
-func (e *Env) hot(m *bytecode.Method) bool {
-	if e.calls[m] >= e.Opts.OptCallThreshold {
+func (e *Env) hot(r *methodRec) bool {
+	if r.calls >= e.Opts.OptCallThreshold {
 		return true
 	}
-	return e.profOn && e.RT.Config().Profiler.FuncWork(m.Name) >= e.Opts.OptHotTicks
+	return e.profOn && e.RT.Config().Profiler.FuncWork(r.m.Name) >= e.Opts.OptHotTicks
 }
 
 // fusable reports whether op may join a fused straight-line run: simple
@@ -117,7 +116,8 @@ func (e *Env) elidedSavestacks(m *bytecode.Method) map[int]bool {
 }
 
 // compileOpt builds the fused code for a hot method.
-func (e *Env) compileOpt(m *bytecode.Method) []opFunc {
+func (e *Env) compileOpt(r *methodRec) []opFunc {
+	m := r.m
 	cost := e.Opts.CostPerInstr
 	code := m.Code
 	fns := make([]opFunc, len(code))
@@ -156,7 +156,7 @@ func (e *Env) compileOpt(m *bytecode.Method) []opFunc {
 			var term opFunc
 			termEnd := end
 			if end < len(code) && !leader[end] {
-				term = e.compileOptOne(m, end, code[end], cost)
+				term = e.compileOptOne(r, end, code[end], cost)
 				termEnd = end + 1
 			}
 			fns[pc] = e.fuse(m, pc, end, term, deadSaves)
@@ -172,7 +172,7 @@ func (e *Env) compileOpt(m *bytecode.Method) []opFunc {
 			pc = termEnd
 			continue
 		}
-		fns[pc] = e.compileOptOne(m, pc, instr, cost)
+		fns[pc] = e.compileOptOne(r, pc, instr, cost)
 		pc++
 	}
 	return fns
@@ -339,28 +339,14 @@ func (e *Env) compileConfinedElision(mname string, pc int, head func(*Interp)) o
 // threaded tier's closure for branches, exec fallback for the cold rest.
 // Every dedicated closure mirrors exec's hook order exactly — profiler
 // stamp, Work, race-site stamp, body.
-func (e *Env) compileOptOne(m *bytecode.Method, pc int, instr bytecode.Instr, cost simtime.Ticks) opFunc {
+func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost simtime.Ticks) opFunc {
+	m := r.m
 	next := pc + 1
 	mname := m.Name
-
-	// head replicates exec's per-instruction prologue for dedicated
-	// closures. (The branch on the cached env flags is what exec pays
-	// too.) Like fused runs, it charges through Step when the constant
-	// cost fits in one quantum.
-	fastStep := cost <= e.RT.Scheduler().Quantum()
-	head := func(in *Interp) {
-		if in.env.profOn {
-			in.task.SetProfSite(pc)
-		}
-		if fastStep {
-			in.task.Step(cost)
-		} else {
-			in.task.Work(cost)
-		}
-		if in.env.raceOn {
-			in.task.SetRaceSite(mname, pc)
-		}
+	if fn := e.compileCall(r, pc, instr, cost); fn != nil {
+		return fn
 	}
+	head := e.prologue(mname, pc, cost)
 
 	switch instr.Op {
 	case bytecode.GOTO, bytecode.IFZ, bytecode.IFNZ:
@@ -558,52 +544,6 @@ func (e *Env) compileOptOne(m *bytecode.Method, pc int, instr bytecode.Instr, co
 			f.pc = next
 		}
 
-	case bytecode.INVOKE:
-		callee, ok := e.Prog.Method(instr.S)
-		if !ok {
-			break // unknown method: exec reports the error at runtime
-		}
-		nargs := callee.Args
-		return func(in *Interp, f *frame) {
-			head(in)
-			// Pop into the Interp's scratch buffer: pushFrame copies the
-			// args into the callee's locals before the next yield point, so
-			// no per-call allocation is needed.
-			if cap(in.argBuf) < nargs {
-				in.argBuf = make([]heap.Word, nargs)
-			}
-			args := in.argBuf[:nargs]
-			for i := nargs - 1; i >= 0; i-- {
-				args[i] = f.pop()
-			}
-			// The caller's pc stays at the INVOKE (RETURN advances it).
-			in.pushFrame(callee, args)
-		}
-	case bytecode.RETURN, bytecode.IRETURN:
-		isIret := instr.Op == bytecode.IRETURN
-		returns := m.Returns
-		return func(in *Interp, f *frame) {
-			head(in)
-			var v heap.Word
-			if isIret {
-				v = f.pop()
-			}
-			if len(f.syncs) != 0 {
-				in.fail("%s: return with %d synchronized sections active", mname, len(f.syncs))
-				return
-			}
-			in.frames = in.frames[:len(in.frames)-1]
-			in.profSync()
-			if len(in.frames) == 0 {
-				in.ret = v
-				return
-			}
-			caller := in.top()
-			if returns {
-				caller.push(v)
-			}
-			caller.pc++ // step past the INVOKE
-		}
 	case bytecode.NATIVE:
 		fn, ok := e.natives[instr.S]
 		if !ok {
@@ -701,9 +641,9 @@ func (e *Env) compileOptOne(m *bytecode.Method, pc int, instr bytecode.Instr, co
 		}
 	}
 
-	// Cold rest (WAIT, NOTIFY, THROW, RETHROW, CHECKTARGET, unresolved
-	// references): the interpreter's implementation, which stamps its own
-	// profiler site.
+	// Cold rest (WAIT, NOTIFY, THROW, RETHROW, CHECKTARGET, SPAWN,
+	// unresolved references): the interpreter's implementation, which
+	// stamps its own profiler site.
 	ins := instr
 	return func(in *Interp, f *frame) { in.exec(f, ins) }
 }

@@ -300,10 +300,10 @@ method work locals 0 returns {
 		t.Fatalf("ret = %d", ret)
 	}
 	work, _ := prog.Method("work")
-	if _, ok := env.optCompiled[work]; !ok {
+	if env.rec(work).fused == nil {
 		t.Error("work (3 activations, threshold 2) not promoted to fused code")
 	}
-	if _, ok := env.optCompiled[m]; ok {
+	if env.rec(m).fused != nil {
 		t.Error("main (1 activation, threshold 2) promoted to fused code")
 	}
 	exec, threaded, opt := env.TierCounts()
@@ -361,7 +361,7 @@ method work locals 1 returns {
 		t.Fatal(err)
 	}
 	work, _ := prog.Method("work")
-	if _, ok := env.optCompiled[work]; !ok {
+	if env.rec(work).fused == nil {
 		t.Fatalf("work not promoted by profile feed (FuncWork=%d)", p.FuncWork("work"))
 	}
 	if tier := p.Snapshot().FuncTier["work"]; tier != "opt" {
