@@ -604,3 +604,7 @@ func BenchmarkAblationQueueDiscipline(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkYieldPoint measures the per-instruction charge at steady state:
+// Task.Step(1) passing a yield point that does not switch.
+func BenchmarkYieldPoint(b *testing.B) { bench.StepBench(b) }

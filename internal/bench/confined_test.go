@@ -4,26 +4,65 @@ import "testing"
 
 // TestConfinedMonitorBudget pins the headline contract of whole-monitor
 // elision: the charge-only no-op a certified confined enter/exit compiles
-// to stays allocation-free and under 3 ns per operation. The allocation
-// bound is exact; the timing bound takes the best of five runs so
-// scheduler noise on shared CI machines cannot fail a healthy build
-// (steady-state measurements land around 1 ns).
+// to stays allocation-free and costs at most a fixed multiple of the thin
+// lock word's uncontended enter measured in the same process. The
+// multiple is the reference host's 3 ns budget divided by its committed
+// thin-enter figure (the escape-confined-elision entry of
+// results/BENCH_2026-08-08.json, ≈ 1.48×), so the bound is exactly as
+// strict as the absolute one was there while holding on any host speed
+// and under race instrumentation, which slows both sides alike. The
+// allocation bound is exact; each timing takes the best of five
+// interleaved runs so scheduler noise on shared CI machines cannot fail a
+// healthy build (the reference host's entry itself is 0.40×).
 func TestConfinedMonitorBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing budget under -short")
 	}
-	const budgetNs = 3.0
-	best := measure("MonitorEnterUncontended/confined", MonitorEnterUncontendedBench("confined"))
-	for rep := 1; rep < 5; rep++ {
-		if r := measure("MonitorEnterUncontended/confined", MonitorEnterUncontendedBench("confined")); r.NsPerOp < best.NsPerOp {
-			best = r
+	const (
+		referenceBudgetNs = 3.0
+		referenceFile     = "../../results/BENCH_2026-08-08.json"
+		referenceLabel    = "escape-confined-elision"
+		referenceBench    = "MonitorEnterUncontended/thin"
+	)
+	var referenceThin float64
+	reports, err := LoadReports(referenceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if r.Label != referenceLabel {
+			continue
+		}
+		for _, b := range r.Benchmarks {
+			if b.Name == referenceBench {
+				referenceThin = b.NsPerOp
+			}
 		}
 	}
-	if best.AllocsPerOp != 0 {
-		t.Errorf("confined no-op allocates: %d allocs/op (%d B/op)", best.AllocsPerOp, best.BytesPerOp)
+	if referenceThin <= 0 {
+		t.Fatalf("%s: no %s figure in entry %q", referenceFile, referenceBench, referenceLabel)
 	}
-	if best.NsPerOp >= budgetNs {
-		t.Errorf("confined no-op too slow: %.2f ns/op, budget %.0f", best.NsPerOp, budgetNs)
+	budgetRatio := referenceBudgetNs / referenceThin
+
+	best := func(prev BenchResult, name string, body func(*testing.B)) BenchResult {
+		if r := measure(name, body); prev.Iterations == 0 || r.NsPerOp < prev.NsPerOp {
+			return r
+		}
+		return prev
+	}
+	var confined, thin BenchResult
+	for rep := 0; rep < 5; rep++ {
+		confined = best(confined, "MonitorEnterUncontended/confined", MonitorEnterUncontendedBench("confined"))
+		thin = best(thin, referenceBench, MonitorEnterUncontendedBench("thin"))
+	}
+	if confined.AllocsPerOp != 0 {
+		t.Errorf("confined no-op allocates: %d allocs/op (%d B/op)", confined.AllocsPerOp, confined.BytesPerOp)
+	}
+	ratio := confined.NsPerOp / thin.NsPerOp
+	t.Logf("confined %.2f ns/op, thin enter %.2f ns/op: %.2f×, budget %.2f×", confined.NsPerOp, thin.NsPerOp, ratio, budgetRatio)
+	if ratio > budgetRatio {
+		t.Errorf("confined no-op too slow: %.2f ns/op = %.2f× thin enter (%.2f ns/op), budget %.2f×",
+			confined.NsPerOp, ratio, thin.NsPerOp, budgetRatio)
 	}
 }
 

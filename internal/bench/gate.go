@@ -34,7 +34,8 @@ type KeyBench struct {
 // charge-only no-op a certified whole-monitor elision compiles to), the
 // ConfinedMonitorEnterExit off/on pair the escape analysis buys end to
 // end, the execution-tier dispatch comparison, the interpreter's
-// call/return pair on every tier, and the scheduler's context switch.
+// call/return pair on every tier, the scheduler's context switch, and the
+// per-instruction yield point that does not switch.
 func KeyBenches() []KeyBench {
 	kb := []KeyBench{
 		{"WriteBarrier", WriteBarrierBench},
@@ -58,7 +59,7 @@ func KeyBenches() []KeyBench {
 	for _, tier := range Tiers {
 		kb = append(kb, KeyBench{"InterpInvokeReturn/" + tier.String(), InterpInvokeReturnBench(tier)})
 	}
-	kb = append(kb, KeyBench{"ContextSwitch", ContextSwitchBench})
+	kb = append(kb, KeyBench{"ContextSwitch", ContextSwitchBench}, KeyBench{"YieldPoint", StepBench})
 	return kb
 }
 

@@ -127,12 +127,14 @@ func RunReport(label, date string, progress func(BenchResult), latProgress func(
 		}
 	}
 
-	// The interpreter's call path on every tier, and the scheduler round
-	// trip every handoff between VM threads pays.
+	// The interpreter's call path on every tier, the scheduler round trip
+	// every handoff between VM threads pays, and the yield point every
+	// instruction passes.
 	for _, tier := range Tiers {
 		add(measure("InterpInvokeReturn/"+tier.String(), InterpInvokeReturnBench(tier)))
 	}
 	add(measure("ContextSwitch", ContextSwitchBench))
+	add(measure("YieldPoint", StepBench))
 
 	// Barriers-vs-elided pair: identical program, with and without the
 	// static analysis; the stats record the elided-store counts.

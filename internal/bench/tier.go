@@ -325,3 +325,22 @@ func ContextSwitchBench(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// StepBench measures one steady-state per-instruction charge: Task.Step(1)
+// on a running task with costs on, no profiler, and a quantum too long to
+// expire during the run, so every iteration is a yield point that does
+// not switch — the charge every interpreted instruction pays.
+func StepBench(b *testing.B) {
+	rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 1 << 40}})
+	rt.Spawn("t", sched.NormPriority, func(tk *core.Task) {
+		tk.Step(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tk.Step(1)
+		}
+		b.StopTimer()
+	})
+	if err := rt.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

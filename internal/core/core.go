@@ -365,7 +365,10 @@ func (rt *Runtime) Monitors() []*monitor.Monitor { return rt.monitors }
 
 // Spawn creates a simulated thread running body.
 func (rt *Runtime) Spawn(name string, prio sched.Priority, body func(*Task)) *Task {
-	task := &Task{rt: rt, log: undo.NewLog(64)}
+	task := &Task{rt: rt, log: undo.NewLog(64), costMask: -1}
+	if rt.cfg.NoCosts {
+		task.costMask = 0
+	}
 	if rt.cfg.Profiler != nil {
 		task.tp = rt.cfg.Profiler.Thread(name)
 	}
@@ -462,6 +465,10 @@ type Task struct {
 	spanGen   uint64 // increments when the outermost frame is pushed
 	revokeReq *revocation
 
+	// costMask is all ones, or 0 under Config.NoCosts: the fast charge
+	// paths mask their cost with it instead of branching on the config.
+	costMask simtime.Ticks
+
 	// nonRevBelow caches how many frames, from the outermost in, are known
 	// to guard non-revocable monitors. When it reaches len(frames) no active
 	// section can be a rollback target and stores skip undo logging
@@ -534,6 +541,25 @@ func (t *Task) finish() {
 // revocation. Every shared-data operation calls it, making each operation a
 // yield point exactly as the paper's compiler arranges.
 func (t *Task) step(cost simtime.Ticks) {
+	if !t.chargeFast(cost) {
+		t.stepSlow(cost)
+	}
+}
+
+// chargeFast charges cost and reports true when it is below the headroom:
+// then no yield point the charge passes could act, so the charge is one
+// compare and the clock add. It inlines, and so do Headroom and Charge.
+func (t *Task) chargeFast(cost simtime.Ticks) bool {
+	if c := cost & t.costMask; uint64(c) < uint64(t.Headroom()) {
+		t.th.Charge(c)
+		return true
+	}
+	return false
+}
+
+// stepSlow is step's full path: the charge, the profiler tick, the yield
+// point and revocation delivery.
+func (t *Task) stepSlow(cost simtime.Ticks) {
 	if !t.rt.cfg.NoCosts {
 		t.th.Advance(cost)
 		if t.tp != nil {
@@ -546,17 +572,40 @@ func (t *Task) step(cost simtime.Ticks) {
 	}
 }
 
-// Step is Work specialized for a single sub-quantum charge. The fused
-// execution tier calls it once per original instruction with the
-// compile-time-constant per-instruction cost, skipping Work's
-// quantum-clamping loop. The caller must guarantee cost <= the scheduler
-// quantum (checked once at compile time); under that precondition the
-// behavior is identical to Work(cost) — one tick charge, one yield point,
-// revocation delivery.
-func (t *Task) Step(cost simtime.Ticks) { t.step(cost) }
+// Headroom returns how many ticks the task may charge through Charge
+// without skipping a yield point that would act: the thread's headroom
+// (sched.Thread.Headroom), or 0 while a profiler is attached (every tick
+// needs its site) or a revocation is pending.
+func (t *Task) Headroom() simtime.Ticks {
+	if t.tp != nil || t.revokeReq != nil {
+		return 0
+	}
+	return t.th.Headroom()
+}
+
+// Charge adds d ticks (none under Config.NoCosts) without a yield point.
+// The caller guarantees 0 <= d < Headroom(), so the yield points the
+// charge stands in for would not have acted: the clock, the switch points
+// and every counter are exactly those of the same ticks charged through
+// Step.
+func (t *Task) Charge(d simtime.Ticks) { t.th.Charge(d & t.costMask) }
+
+// Step charges one instruction's cost, cost >= 0: the single
+// per-instruction entry of every execution tier. It is Work without
+// Perturb scaling — a cost above the quantum is split into quantum-sized
+// charges, each its own yield point.
+func (t *Task) Step(cost simtime.Ticks) {
+	switch {
+	case t.chargeFast(cost):
+	case cost > t.rt.sch.Quantum():
+		t.work(cost)
+	default:
+		t.stepSlow(cost)
+	}
+}
 
 // Work charges n ticks of thread-local computation (no logging, no
-// barriers), passing yield points along the way.
+// barriers), passing yield points along the way. Perturb.Scale applies.
 func (t *Task) Work(n simtime.Ticks) {
 	if p := t.rt.cfg.Perturb; p != nil && len(p.Scale) > 0 && t.tp != nil {
 		scaled, applied := t.rt.scaleWork(t, n)
@@ -570,6 +619,12 @@ func (t *Task) Work(n simtime.Ticks) {
 			n = scaled
 		}
 	}
+	t.work(n)
+}
+
+// work charges n ticks in charges of at most one quantum, each a yield
+// point.
+func (t *Task) work(n simtime.Ticks) {
 	q := t.rt.sch.Quantum()
 	for n > 0 {
 		c := n

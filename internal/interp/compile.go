@@ -67,19 +67,13 @@ func (e *Env) compile(r *methodRec) []opFunc {
 
 // prologue returns exec's per-instruction prologue for the dedicated
 // closure of the instruction at pc: profiler stamp, tick charge, race-site
-// stamp. (The branch on the cached env flags is what exec pays too.) The
-// charge goes through Step when the constant cost fits in one quantum.
+// stamp. (The branch on the cached env flags is what exec pays too.)
 func (e *Env) prologue(mname string, pc int, cost simtime.Ticks) func(*Interp) {
-	fastStep := cost <= e.RT.Scheduler().Quantum()
 	return func(in *Interp) {
 		if in.env.profOn {
 			in.task.SetProfSite(pc)
 		}
-		if fastStep {
-			in.task.Step(cost)
-		} else {
-			in.task.Work(cost)
-		}
+		in.task.Step(cost)
 		if in.env.raceOn {
 			in.task.SetRaceSite(mname, pc)
 		}
@@ -129,33 +123,33 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 	switch instr.Op {
 	case bytecode.NOP:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.pc = next
 		}, true
 	case bytecode.CONST:
 		v := heap.Word(instr.V)
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.push(v)
 			f.pc = next
 		}, true
 	case bytecode.LOAD:
 		idx := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.push(f.locals[idx])
 			f.pc = next
 		}, true
 	case bytecode.STORE:
 		idx := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.locals[idx] = f.pop()
 			f.pc = next
 		}, true
 	case bytecode.DUP:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			v := f.pop()
 			f.push(v)
 			f.push(v)
@@ -163,13 +157,13 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 		}, true
 	case bytecode.POP:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.pop()
 			f.pc = next
 		}, true
 	case bytecode.SWAP:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			a, b := f.pop(), f.pop()
 			f.push(a)
 			f.push(b)
@@ -177,35 +171,35 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 		}, true
 	case bytecode.ADD:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			b, a := f.pop(), f.pop()
 			f.push(a + b)
 			f.pc = next
 		}, true
 	case bytecode.SUB:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			b, a := f.pop(), f.pop()
 			f.push(a - b)
 			f.pc = next
 		}, true
 	case bytecode.MUL:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			b, a := f.pop(), f.pop()
 			f.push(a * b)
 			f.pc = next
 		}, true
 	case bytecode.NEG:
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.push(-f.pop())
 			f.pc = next
 		}, true
 	case bytecode.CMPEQ, bytecode.CMPNE, bytecode.CMPLT, bytecode.CMPLE, bytecode.CMPGT, bytecode.CMPGE:
 		op := instr.Op
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			b, a := f.pop(), f.pop()
 			v, _ := arith(op, a, b)
 			f.push(v)
@@ -214,13 +208,13 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 	case bytecode.GOTO:
 		target := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.pc = target
 		}, true
 	case bytecode.IFNZ:
 		target := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			if f.pop() != 0 {
 				f.pc = target
 			} else {
@@ -230,7 +224,7 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 	case bytecode.IFZ:
 		target := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			if f.pop() == 0 {
 				f.pc = target
 			} else {
@@ -240,21 +234,21 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 	case bytecode.GETSTATIC:
 		idx := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			f.push(in.task.ReadStatic(idx))
 			f.pc = next
 		}, true
 	case bytecode.PUTSTATIC:
 		idx := instr.A
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			in.task.WriteStatic(idx, f.pop())
 			f.pc = next
 		}, true
 	case bytecode.SAVESTACK:
 		base, d := instr.A, int(instr.V)
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			for i := 0; i < d; i++ {
 				f.locals[base+i] = f.stack[i]
 			}
@@ -263,7 +257,7 @@ func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, de
 	case bytecode.RESTORESTACK:
 		base, d := instr.A, int(instr.V)
 		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
+			in.task.Step(cost)
 			for i := 0; i < d; i++ {
 				f.push(f.locals[base+i])
 			}

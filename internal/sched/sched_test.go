@@ -521,3 +521,89 @@ func TestEmitSkipsWithoutSubscriber(t *testing.T) {
 		t.Errorf("emitted %+v (ok=%v), want At stamped to 5", e, ok)
 	}
 }
+
+// TestHeadroomTracksTimeslice: the running thread's headroom is the ticks
+// left before the timeslice boundary, and 0 while a preemption is
+// requested or once the slice has expired.
+func TestHeadroomTracksTimeslice(t *testing.T) {
+	s := newTestSched(Config{Quantum: 10})
+	var got []simtime.Ticks
+	s.Spawn("a", NormPriority, func(th *Thread) {
+		got = append(got, th.Headroom()) // 10: fresh slice
+		th.Advance(4)
+		got = append(got, th.Headroom()) // 6
+		th.Preempt()
+		got = append(got, th.Headroom()) // 0: preemption requested
+		th.YieldPoint()                  // honours it; redispatched mid-slice
+		got = append(got, th.Headroom()) // 6: the global timer did not fire
+		th.Advance(12)
+		got = append(got, th.Headroom()) // 0: slice expired, not negative
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []simtime.Ticks{10, 6, 0, 6, 0}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("headroom = %v, want %v", got, want)
+	}
+}
+
+// TestHeadroomZeroWhenNotRunning: a thread that is not the running one has
+// no headroom — before its first dispatch, while another thread runs, and
+// after it finished — so no caller can skip its yield points.
+func TestHeadroomZeroWhenNotRunning(t *testing.T) {
+	s := newTestSched(Config{Quantum: 100})
+	var a, b *Thread
+	var seen []simtime.Ticks
+	a = s.Spawn("a", NormPriority, func(th *Thread) {
+		seen = append(seen, b.Headroom()) // b not yet dispatched
+		th.Yield()
+		seen = append(seen, b.Headroom()) // b ran and finished
+	})
+	b = s.Spawn("b", NormPriority, func(th *Thread) {
+		seen = append(seen, a.Headroom()) // a queued after its Yield
+		seen = append(seen, th.Headroom())
+	})
+	if h := a.Headroom(); h != 0 {
+		t.Fatalf("headroom before Run = %d, want 0", h)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seen) != "[0 0 100 0]" {
+		t.Fatalf("headroom seen = %v, want [0 0 100 0]", seen)
+	}
+	if a.Headroom() != 0 || b.Headroom() != 0 {
+		t.Fatal("finished threads keep headroom")
+	}
+}
+
+// TestChargeBelowHeadroomNeverSwitches: charges each below the current
+// headroom never reach the timeslice boundary, so the yield points they
+// stand in for would not have switched, and Charge accounts exactly like
+// Advance.
+func TestChargeBelowHeadroomNeverSwitches(t *testing.T) {
+	s := newTestSched(Config{Quantum: 50})
+	s.Spawn("a", NormPriority, func(th *Thread) {
+		for _, d := range []simtime.Ticks{0, 7, 1, 30, 11} {
+			h := th.Headroom()
+			if d >= h {
+				t.Fatalf("test charge %d not below headroom %d", d, h)
+			}
+			th.Charge(d)
+			if th.NeedsYield() {
+				t.Fatalf("charge %d below headroom %d reached the boundary", d, h)
+			}
+			th.YieldPoint()
+		}
+		if th.Headroom() != 1 {
+			t.Fatalf("headroom = %d after 49 ticks of a 50-tick slice", th.Headroom())
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.ContextSwitches() != 1 || s.Now() != 49 || s.Threads()[0].CPU() != 49 {
+		t.Fatalf("switches=%d now=%d cpu=%d, want 1 49 49", s.ContextSwitches(), s.Now(), s.Threads()[0].CPU())
+	}
+}

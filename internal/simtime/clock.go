@@ -36,9 +36,18 @@ func (c *Clock) Now() Ticks { return c.now }
 // virtual time never runs backwards.
 func (c *Clock) Advance(d Ticks) {
 	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative advance %d", d))
+		panic(negativeAdvance(d))
 	}
 	c.now += d
+}
+
+// negativeAdvance is Advance's panic value. Formatting it only when the
+// panic is printed keeps Advance small enough to inline into every tick
+// charge.
+type negativeAdvance Ticks
+
+func (d negativeAdvance) Error() string {
+	return fmt.Sprintf("simtime: negative advance %d", int64(d))
 }
 
 // Timer is a scheduled wakeup. The payload is opaque to the clock.
