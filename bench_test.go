@@ -245,12 +245,12 @@ func BenchmarkConfinedMonitorEnterExit(b *testing.B) {
 	b.Run("on", bench.ConfinedMonitorEnterExitBench(true))
 }
 
-// BenchmarkTierDispatch compares threaded-closure dispatch against fused
-// superinstruction dispatch on workloads whose hot methods cross the
-// tier-3 promotion threshold.
+// BenchmarkTierDispatch compares the switch interpreter's per-instruction
+// dispatch against fused superinstruction dispatch on the dispatch
+// workloads.
 func BenchmarkTierDispatch(b *testing.B) {
 	for _, p := range bench.TierPrograms {
-		for _, tier := range []interp.Tier{interp.TierThreaded, interp.TierOpt} {
+		for _, tier := range bench.Tiers {
 			b.Run(p.Name+"/"+tier.String(), bench.TierDispatchBench(p, tier))
 		}
 	}
@@ -429,7 +429,7 @@ func BenchmarkBankWorkload(b *testing.B) {
 }
 
 // BenchmarkCompilerTiers compares the switch interpreter against the
-// threaded-code tier on a compute-heavy bytecode loop.
+// fused tier on a compute-heavy bytecode loop.
 func BenchmarkCompilerTiers(b *testing.B) {
 	src := `
 static acc = 0
@@ -456,14 +456,12 @@ method main locals 1 {
 	for _, tc := range []struct {
 		name string
 		tier interp.Tier
-	}{{"interpreter", interp.TierExec}, {"threaded", interp.TierThreaded}, {"opt", interp.TierOpt}} {
+	}{{"interpreter", interp.TierExec}, {"opt", interp.TierOpt}} {
 		b.Run(tc.name, func(b *testing.B) {
 			prog := bytecode.MustAssemble(src)
 			for i := 0; i < b.N; i++ {
 				rt := core.New(core.Config{Mode: core.Revocation, NoCosts: true})
-				// OptCallThreshold 1: main runs once, so the opt tier only
-				// exercises fusion if promotion happens at first activation.
-				if _, err := interp.Run(rt, prog.Clone(), interp.Options{Tier: tc.tier, OptCallThreshold: 1}); err != nil {
+				if _, err := interp.Run(rt, prog.Clone(), interp.Options{Tier: tc.tier}); err != nil {
 					b.Fatal(err)
 				}
 			}

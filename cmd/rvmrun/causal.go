@@ -35,7 +35,6 @@ type causalCLIOpts struct {
 	rewriteProg bool
 	static      bool
 	tier        interp.Tier
-	threaded    bool
 	quantum     int64
 	seed        int64
 	switchCost  int64
@@ -147,7 +146,6 @@ func whatifRunner(o causalCLIOpts) causal.RunFn {
 		env, err := interp.Run(rt, prog, interp.Options{
 			Rewritten: o.rewriteProg,
 			Tier:      o.tier,
-			Threaded:  o.threaded,
 			Facts:     facts,
 		})
 		if err != nil {

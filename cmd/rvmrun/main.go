@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rvmrun [-vm unmodified|revocation] [-rewrite] [-static] [-race] [-deadlock]
-//	       [-tier exec|threaded|opt] [-quantum N] [-trace] [-disasm] [-stats]
+//	       [-tier exec|opt] [-quantum N] [-trace] [-disasm] [-stats]
 //	       [-trace-out FILE] [-trace-format text|jsonl|perfetto]
 //	       [-metrics text|json] [-metrics-out FILE] program.rvm
 //
@@ -71,8 +71,7 @@ func main() {
 	var (
 		vmMode    = flag.String("vm", "revocation", "virtual machine: unmodified or revocation")
 		doRewrite = flag.Bool("rewrite", true, "apply the paper's bytecode rewriting (rollback scopes)")
-		tierFlag  = flag.String("tier", "", "execution tier: exec (switch interpreter), threaded, or opt (fused superinstructions); default exec")
-		threaded  = flag.Bool("threaded", false, "deprecated alias for -tier=threaded")
+		tierFlag  = flag.String("tier", "exec", "execution tier: exec (switch interpreter) or opt (fused superinstructions, compiled at a method's first activation)")
 		quantum   = flag.Int64("quantum", 1000, "scheduler quantum in ticks")
 		seed      = flag.Int64("seed", 0, "deterministic scheduler seed")
 		static    = flag.Bool("static", false, "run whole-program analysis: pre-mark non-revocable sections, elide proven-safe write barriers")
@@ -121,14 +120,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -metrics %q (want text or json)", *metrics))
 	}
-	// -tier wins over the deprecated -threaded alias; with no -tier the
-	// alias still selects the threaded tier via Options normalization.
-	var tier interp.Tier
-	if *tierFlag != "" {
-		var err error
-		if tier, err = interp.ParseTier(*tierFlag); err != nil {
-			fatal(err)
-		}
+	tier, err := interp.ParseTier(*tierFlag)
+	if err != nil {
+		fatal(err)
 	}
 	if *traceFormat != "text" && *traceOut == "" {
 		fatal(fmt.Errorf("-trace-format=%s requires -trace-out FILE", *traceFormat))
@@ -355,7 +349,6 @@ func main() {
 	env, runErr := interp.Run(rt, prog, interp.Options{
 		Rewritten: *doRewrite,
 		Tier:      tier,
-		Threaded:  *threaded,
 		Facts:     facts,
 		Out:       os.Stdout,
 	})
@@ -381,9 +374,8 @@ func main() {
 	if *stats {
 		printStats(rt)
 		if env != nil {
-			execN, thrN, optN := env.TierCounts()
-			fmt.Fprintf(os.Stderr, "tiers: exec-methods=%d threaded-methods=%d opt-methods=%d\n",
-				execN, thrN, optN)
+			execN, _, optN := env.TierCounts()
+			fmt.Fprintf(os.Stderr, "tiers: exec-methods=%d opt-methods=%d\n", execN, optN)
 		}
 		if profiler != nil {
 			fmt.Fprintf(os.Stderr, "profile: work=%d waste=%d block=%d sched=%d ticks\n",
@@ -442,7 +434,6 @@ func main() {
 			rewriteProg: *doRewrite,
 			static:      *static,
 			tier:        tier,
-			threaded:    *threaded,
 			quantum:     *quantum,
 			seed:        *seed,
 			switchCost:  *switchCost,

@@ -19,7 +19,7 @@ import (
 // needs none of the paper's machinery — no lock word, no revocation
 // eligibility, no undo logging, no race clocks — so every certified
 // confined MONITORENTER/MONITOREXIT pair compiles to a charge-only no-op
-// in all three tiers.
+// in both tiers.
 //
 // Classification is per behavioral lock name:
 //

@@ -60,7 +60,7 @@ const (
 	// CertConfined certifies a whole-monitor elision site: the
 	// MONITORENTER (or a MONITOREXIT paired with it) operates on a
 	// thread-confined allocation that never escapes, never waits, and
-	// brackets exactly, so all three tiers compile the instruction to a
+	// brackets exactly, so both tiers compile the instruction to a
 	// charge-only no-op (escape.go derives the sites).
 	CertConfined CertKind = "confined-monitor"
 	// CertRaceFree certifies per-slot race freedom: no candidate race and

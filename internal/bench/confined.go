@@ -83,11 +83,10 @@ func ConfinedMonitorEnterExitBench(elided bool) func(b *testing.B) {
 				Sched: sched.Config{Quantum: 1 << 40},
 			})
 			if _, err := interp.Run(rt, prog, interp.Options{
-				Rewritten:        true,
-				Tier:             interp.TierOpt,
-				OptCallThreshold: 1,
-				Facts:            facts,
-				Out:              io.Discard,
+				Rewritten: true,
+				Tier:      interp.TierOpt,
+				Facts:     facts,
+				Out:       io.Discard,
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -33,7 +33,7 @@ type KeyBench struct {
 // "nonrevocable" enter interpreted sections take and the "confined"
 // charge-only no-op a certified whole-monitor elision compiles to), the
 // ConfinedMonitorEnterExit off/on pair the escape analysis buys end to
-// end, the execution-tier dispatch comparison, the interpreter's
+// end, the fused tier's dispatch workloads, the interpreter's
 // call/return pair on every tier, the scheduler's context switch, and the
 // per-instruction yield point that does not switch.
 func KeyBenches() []KeyBench {
@@ -52,9 +52,7 @@ func KeyBenches() []KeyBench {
 		KeyBench{"ConfinedMonitorEnterExit/on", ConfinedMonitorEnterExitBench(true)},
 	)
 	for _, p := range TierPrograms {
-		for _, tier := range []interp.Tier{interp.TierThreaded, interp.TierOpt} {
-			kb = append(kb, KeyBench{"TierDispatch/" + p.Name + "/" + tier.String(), TierDispatchBench(p, tier)})
-		}
+		kb = append(kb, KeyBench{"TierDispatch/" + p.Name + "/opt", TierDispatchBench(p, interp.TierOpt)})
 	}
 	for _, tier := range Tiers {
 		kb = append(kb, KeyBench{"InterpInvokeReturn/" + tier.String(), InterpInvokeReturnBench(tier)})

@@ -119,12 +119,10 @@ func RunReport(label, date string, progress func(BenchResult), latProgress func(
 	add(measure("ConfinedMonitorEnterExit/off", ConfinedMonitorEnterExitBench(false)))
 	add(measure("ConfinedMonitorEnterExit/on", ConfinedMonitorEnterExitBench(true)))
 
-	// Execution-tier dispatch: threaded closures vs fused
-	// superinstructions on re-invoked hot methods.
+	// Execution-tier dispatch: fused superinstructions on the dispatch
+	// workloads.
 	for _, p := range TierPrograms {
-		for _, tier := range []interp.Tier{interp.TierThreaded, interp.TierOpt} {
-			add(measure("TierDispatch/"+p.Name+"/"+tier.String(), TierDispatchBench(p, tier)))
-		}
+		add(measure("TierDispatch/"+p.Name+"/opt", TierDispatchBench(p, interp.TierOpt)))
 	}
 
 	// The interpreter's call path on every tier, the scheduler round trip

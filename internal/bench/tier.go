@@ -1,4 +1,4 @@
-// Micro-benchmark bodies for the compact lock word and the tier-3 fused
+// Micro-benchmark bodies for the compact lock word and the fused
 // compiler. Like micro.go, they live outside _test.go files so the go test
 // suite (bench_test.go at the repo root) and the cmd/figures -json emitter
 // run the same code.
@@ -18,8 +18,8 @@ import (
 // benchmarks cover: "thin" is the single-word fast path, "inflated" pins
 // the monitor on the full prioritized-queue representation
 // (Config.DisableThinLocks), "nonrevocable" goes through the core
-// engine's fused non-revocable entry — the path tier-3 compiles statically
-// proven sections to, including section-frame bookkeeping — and
+// engine's fused non-revocable entry — the path the fused tier compiles
+// statically proven sections to, including section-frame bookkeeping — and
 // "confined" is the charge-only no-op a certified thread-confined
 // enter/exit compiles to (the whole-monitor elision of the escape pass):
 // no lock word is touched at all, only the elision counter.
@@ -122,10 +122,9 @@ type TierProgram struct {
 	Src  string
 }
 
-// TierPrograms are the dispatch workloads: both re-invoke their inner
-// method often enough to cross TierOpt's default hotness threshold, so an
-// "opt" run compiles the hot code to fused superinstructions while a
-// "threaded" run dispatches closure by closure.
+// TierPrograms are the dispatch workloads: an "opt" run compiles every
+// method to fused superinstructions at its first activation, while an
+// "exec" run decodes and dispatches instruction by instruction.
 var TierPrograms = []TierProgram{
 	{
 		// A compute loop re-entered via INVOKE: straight-line arithmetic
@@ -245,7 +244,7 @@ func TierDispatchBench(p TierProgram, tier interp.Tier) func(b *testing.B) {
 }
 
 // Tiers is every execution tier, in order.
-var Tiers = []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt}
+var Tiers = []interp.Tier{interp.TierExec, interp.TierOpt}
 
 // invokeReturnSrc calls a 2-argument method from a loop run n times, n
 // being main's argument.
@@ -278,8 +277,8 @@ method add2 args 2 locals 2 returns {
 // InterpInvokeReturnBench measures one INVOKE/RETURN pair of a 2-argument
 // method on the given tier, with the loop around it: one iteration is one
 // pass of main's loop (11 instructions besides the callee's 4). A warm-up
-// call compiles, and on TierOpt promotes, both methods first, so the
-// timed call runs at steady state.
+// call compiles both methods first on TierOpt, so the timed call runs at
+// steady state.
 func InterpInvokeReturnBench(tier interp.Tier) func(b *testing.B) {
 	return func(b *testing.B) {
 		prog := bytecode.MustAssemble(invokeReturnSrc)

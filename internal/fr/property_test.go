@@ -18,7 +18,7 @@ import (
 	"repro/internal/trace"
 )
 
-var allTiers = []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt}
+var allTiers = []interp.Tier{interp.TierExec, interp.TierOpt}
 
 // exampleSources globs every example program, same corpus as the interp and
 // prof property tests.
@@ -64,17 +64,16 @@ func runExample(t *testing.T, src string, tier interp.Tier, sink trace.Sink) {
 		Sched:             sched.Config{Quantum: 1000, SwitchCost: 3},
 	})
 	if _, err := interp.Run(rt, prog, interp.Options{
-		Rewritten:        true,
-		Tier:             tier,
-		OptCallThreshold: 1,
-		Out:              io.Discard,
+		Rewritten: true,
+		Tier:      tier,
+		Out:       io.Discard,
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRecorderRoundTripsEveryExample is the codec's grand property, checked
-// over the whole example corpus on all three execution tiers: recording a
+// over the whole example corpus on both execution tiers: recording a
 // run through the binary ring and decoding it back yields the event stream
 // identically — field for field — to a plain in-memory trace.Recorder
 // attached to the same run.

@@ -32,10 +32,9 @@ func runCausal(t *testing.T, src string, tier Tier, p *core.Perturb, extra trace
 		Sched:             sched.Config{Quantum: 1000, SwitchCost: 3},
 	})
 	env, err := Run(rt, prog, Options{
-		Rewritten:        true,
-		Tier:             tier,
-		OptCallThreshold: 1,
-		Facts:            facts,
+		Rewritten: true,
+		Tier:      tier,
+		Facts:     facts,
 	})
 	if err != nil {
 		t.Fatalf("%v tier: %v", tier, err)
@@ -45,7 +44,7 @@ func runCausal(t *testing.T, src string, tier Tier, p *core.Perturb, extra trace
 
 // TestCriticalPathEqualsClock is the causal package's grand invariant,
 // checked over every example program (including the deadlocking corpus —
-// revocation resolves those runs) on all three tiers: the happens-before
+// revocation resolves those runs) on both tiers: the happens-before
 // DAG built from the live trace stream has every timeline point's
 // longest-path distance equal to its timestamp, the longest path equals
 // the final virtual clock EXACTLY, and the extracted critical path tiles

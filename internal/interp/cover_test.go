@@ -33,10 +33,10 @@ method main locals 0 returns {
     ireturn
 }
 `
-		for _, threaded := range []bool{false, true} {
-			got := callMainWith(t, src, Options{Threaded: threaded})
+		for _, tier := range allTiers {
+			got := callMainWith(t, src, Options{Tier: tier})
 			if got != c.want {
-				t.Errorf("%s(%d,%d) threaded=%v = %d, want %d", c.op, c.a, c.b, threaded, got, c.want)
+				t.Errorf("%s(%d,%d) %v tier = %d, want %d", c.op, c.a, c.b, tier, got, c.want)
 			}
 		}
 	}
@@ -91,9 +91,9 @@ method main locals 0 returns {
     ireturn
 }
 `
-	for _, threaded := range []bool{false, true} {
-		if got := callMainWith(t, src, Options{Threaded: threaded}); got != 14 {
-			t.Errorf("threaded=%v: got %d, want 14", threaded, got)
+	for _, tier := range allTiers {
+		if got := callMainWith(t, src, Options{Tier: tier}); got != 14 {
+			t.Errorf("%v tier: got %d, want 14", tier, got)
 		}
 	}
 }

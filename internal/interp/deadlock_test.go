@@ -87,10 +87,9 @@ func TestDynamicDeadlocksSubsetOfStatic(t *testing.T) {
 					Sched: sched.Config{Quantum: 1000},
 				})
 				if _, err := Run(rt, prog, Options{
-					Rewritten:        true,
-					Tier:             tier,
-					OptCallThreshold: 1,
-					Facts:            facts,
+					Rewritten: true,
+					Tier:      tier,
+					Facts:     facts,
 				}); err != nil {
 					t.Fatalf("%v tier: %v", tier, err)
 				}
@@ -206,10 +205,9 @@ func TestOptElisionsAllCertified(t *testing.T) {
 			Sched:             sched.Config{Quantum: 1000},
 		})
 		if _, err := Run(rt, prog, Options{
-			Rewritten:        true,
-			Tier:             TierOpt,
-			OptCallThreshold: 1,
-			Facts:            facts,
+			Rewritten: true,
+			Tier:      TierOpt,
+			Facts:     facts,
 			ElisionAudit: func(kind analysis.CertKind, method string, pc int) {
 				if kind == analysis.CertElideBarrier && seededRaw[analysis.Pos{Method: method, PC: pc}.String()] {
 					return // hand-written .raw store, not an elision

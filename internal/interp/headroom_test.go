@@ -14,13 +14,13 @@ import (
 )
 
 // This file pins the per-instruction charge: every tier charges each
-// instruction through Task.Step, unscaled, and tier 3's one-charge pure
-// runs are tick-for-tick identical to charging constituent by constituent.
+// instruction through Task.Step, unscaled, and the fused tier's one-charge
+// pure runs are tick-for-tick identical to charging constituent by
+// constituent.
 
 // runTierConfig runs one program through the rvmrun -static pipeline on
-// one tier with every method fused from its first activation, under the
-// given scheduler quantum, per-instruction cost and cost perturbation
-// (with a profiler attached when p scales sites). A run that fails — some
+// one tier under the given scheduler quantum, per-instruction cost and
+// cost perturbation (with a profiler attached when p scales sites). A run that fails — some
 // examples assume a thread finishes within one default quantum and fault
 // under tiny ones — returns its final state with the error text, which
 // must then be the same on every tier.
@@ -38,7 +38,7 @@ func runTierConfig(t *testing.T, src string, tier Tier, quantum, cost simtime.Ti
 		cfg.Profiler = prof.New()
 	}
 	rt := core.New(cfg)
-	env, err := Run(rt, prog, Options{Rewritten: true, Tier: tier, Facts: facts, OptCallThreshold: 1, CostPerInstr: cost})
+	env, err := Run(rt, prog, Options{Rewritten: true, Tier: tier, Facts: facts, CostPerInstr: cost})
 	if env == nil {
 		t.Fatalf("%s %v tier: %v", src, tier, err)
 	}
@@ -141,7 +141,7 @@ method main locals 1 {
 	run := func(tier Tier, p *core.Perturb) simtime.Ticks {
 		cfg := core.Config{Mode: core.Revocation, Perturb: p, Profiler: prof.New(), Sched: sched.Config{Quantum: 1000}}
 		rt := core.New(cfg)
-		if _, err := Run(rt, prog.Clone(), Options{Tier: tier, OptCallThreshold: 1}); err != nil {
+		if _, err := Run(rt, prog.Clone(), Options{Tier: tier}); err != nil {
 			t.Fatal(err)
 		}
 		return rt.Now()
@@ -232,7 +232,7 @@ handler main from d to after target catcher catch ArithmeticException
 // exactly the constituents up to and including the div and raises at the
 // div's pc, both when the run fits the headroom (one charge) and when it
 // crosses a timeslice boundary (per-constituent charges) — the tick
-// charge and the handler entry equal exec's on every tier.
+// charge and the handler entry equal exec's.
 func TestFusedDivFaultHeadroom(t *testing.T) {
 	const quantum, runLen = 10, 7
 	prog := bytecode.MustAssemble(fusedDivSrc)
@@ -243,7 +243,7 @@ func TestFusedDivFaultHeadroom(t *testing.T) {
 	run := func(tier Tier, pre int64) outcome {
 		var o outcome
 		rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: quantum, SwitchCost: 3}})
-		env, err := NewEnv(rt, prog.Clone(), Options{Tier: tier, OptCallThreshold: 1})
+		env, err := NewEnv(rt, prog.Clone(), Options{Tier: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,14 +278,9 @@ func TestFusedDivFaultHeadroom(t *testing.T) {
 		} else {
 			crosses = true
 		}
-		for _, c := range []struct {
-			tier Tier
-			got  outcome
-		}{{TierThreaded, run(TierThreaded, pre)}, {TierOpt, opt}} {
-			if c.got.atHandler != base.atHandler || c.got.end != base.end || c.got.stats != base.stats {
-				t.Errorf("pre=%d %v tier (headroom %d): handler at %d, end %d, stats %+v; exec: handler at %d, end %d, stats %+v",
-					pre, c.tier, c.got.headroom, c.got.atHandler, c.got.end, c.got.stats, base.atHandler, base.end, base.stats)
-			}
+		if opt.atHandler != base.atHandler || opt.end != base.end || opt.stats != base.stats {
+			t.Errorf("pre=%d opt tier (headroom %d): handler at %d, end %d, stats %+v; exec: handler at %d, end %d, stats %+v",
+				pre, opt.headroom, opt.atHandler, opt.end, opt.stats, base.atHandler, base.end, base.stats)
 		}
 	}
 	if !fits || !crosses {

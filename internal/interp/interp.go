@@ -39,25 +39,24 @@ type Tier int
 
 const (
 	// TierExec is the switch interpreter (the paper's baseline compiler
-	// analog).
+	// analog) and the semantic reference for the compiled tier.
 	TierExec Tier = iota
-	// TierThreaded pre-decodes methods into threaded code: one closure
-	// per instruction with operands captured.
-	TierThreaded
-	// TierOpt starts methods on threaded code and, once a deterministic
-	// hotness threshold is crossed, recompiles them into fused
+	// TierOpt compiles each method at its first activation into fused
 	// superinstruction streams specialized against the static facts
 	// (compile-time-resolved call/field/class references, statically
 	// non-revocable monitorenter, dead SAVESTACK elision). See opt.go.
 	TierOpt
+
+	// TierThreaded selects TierOpt.
+	//
+	// Deprecated: the per-instruction threaded tier is gone; use TierOpt.
+	TierThreaded = TierOpt
 )
 
 func (t Tier) String() string {
 	switch t {
 	case TierExec:
 		return "exec"
-	case TierThreaded:
-		return "threaded"
 	case TierOpt:
 		return "opt"
 	}
@@ -69,12 +68,10 @@ func ParseTier(s string) (Tier, error) {
 	switch s {
 	case "exec":
 		return TierExec, nil
-	case "threaded":
-		return TierThreaded, nil
 	case "opt":
 		return TierOpt, nil
 	}
-	return TierExec, fmt.Errorf("interp: unknown tier %q (want exec, threaded, or opt)", s)
+	return TierExec, fmt.Errorf("interp: unknown tier %q (want exec or opt)", s)
 }
 
 // Options configures an Env.
@@ -93,20 +90,6 @@ type Options struct {
 	Rewritten bool
 	// Tier selects the execution tier (default TierExec).
 	Tier Tier
-	// Threaded is the deprecated alias for Tier: TierThreaded. It is
-	// honored when Tier is left at its zero value and mirrored back
-	// (Threaded = Tier != TierExec) after normalization.
-	Threaded bool
-	// OptCallThreshold is the TierOpt invocation-count hotness threshold:
-	// a method recompiles to fused code at its Nth activation (default 2).
-	// Deterministic by construction — the count does not depend on timing.
-	OptCallThreshold int
-	// OptHotTicks is the TierOpt profile-feed hotness threshold: with a
-	// profiler attached, a method whose attributed work ticks
-	// (prof.Profiler.FuncWork) reach this value recompiles at its next
-	// activation even below OptCallThreshold (default 1000). Virtual-time
-	// attribution is deterministic, so tier decisions stay reproducible.
-	OptHotTicks int64
 	// Facts supplies whole-program static analysis results (from
 	// analysis.Analyze over this exact program). When set, monitorenter
 	// sites of statically non-revocable sections are pre-marked so they
@@ -184,16 +167,6 @@ func NewEnv(rt *core.Runtime, prog *bytecode.Program, opts Options) (*Env, error
 	}
 	if opts.CostPerInstr < 0 {
 		return nil, fmt.Errorf("interp: negative CostPerInstr %d", opts.CostPerInstr)
-	}
-	if opts.Tier == TierExec && opts.Threaded {
-		opts.Tier = TierThreaded // deprecated alias
-	}
-	opts.Threaded = opts.Tier != TierExec
-	if opts.OptCallThreshold == 0 {
-		opts.OptCallThreshold = 2
-	}
-	if opts.OptHotTicks == 0 {
-		opts.OptHotTicks = 1000
 	}
 	if rt.Heap().NumStatics() != 0 {
 		return nil, fmt.Errorf("interp: runtime heap already has statics; use a fresh runtime")
@@ -297,22 +270,20 @@ func (e *Env) Array(ref heap.Word) (*heap.Array, bool) {
 	return a, ok
 }
 
-// TierCounts reports how many distinct invoked methods currently sit at
-// each tier: opt methods run fused code, threaded methods run pre-decoded
-// closures (including TierOpt methods still below the hotness threshold),
-// and exec methods run on the switch interpreter.
+// TierCounts reports how many distinct invoked methods run at each tier:
+// opt methods run fused code, exec methods run on the switch interpreter.
+// threaded is always 0; it is kept so callers that take three results
+// still compile.
 func (e *Env) TierCounts() (exec, threaded, opt int) {
 	for _, r := range e.recs {
 		switch {
 		case r.fused != nil:
 			opt++
-		case r.threaded != nil:
-			threaded++
 		case r.calls > 0:
 			exec++
 		}
 	}
-	return exec, threaded, opt
+	return exec, 0, opt
 }
 
 // methodRec is the Env's record of one method: its activation count, its
@@ -322,12 +293,11 @@ func (e *Env) TierCounts() (exec, threaded, opt int) {
 // lookup.
 type methodRec struct {
 	m *bytecode.Method
-	// calls counts activations: TierOpt's invocation-count hotness feed
-	// and the per-tier method accounting of TierCounts.
+	// calls counts activations, for the per-tier method accounting of
+	// TierCounts.
 	calls int
-	// threaded is the pre-decoded code (TierThreaded, and TierOpt below
-	// the hotness threshold); fused is TierOpt's code once hot.
-	threaded, fused []opFunc
+	// fused is TierOpt's code, compiled at the first activation.
+	fused []opFunc
 	// callees maps each INVOKE and SPAWN pc to its target's record; nil
 	// when m has no call sites, and a nil entry for an unknown name.
 	callees []*methodRec
@@ -452,7 +422,7 @@ type frame struct {
 	locals []heap.Word
 	stack  []heap.Word
 	syncs  []activeSync
-	// fns is the method's compiled code (TierThreaded and TierOpt).
+	// fns is the method's compiled code (TierOpt).
 	fns []opFunc
 }
 
@@ -534,11 +504,8 @@ func (in *Interp) pushFrame(r *methodRec) *frame {
 		f.stack = f.stack[:0]
 	}
 	f.syncs = f.syncs[:0]
-	switch in.env.Opts.Tier {
-	case TierThreaded:
-		f.fns = in.env.compile(r)
-	case TierOpt:
-		f.fns = in.env.compileTiered(r)
+	if in.env.Opts.Tier == TierOpt {
+		f.fns = in.env.fusedCode(r)
 	}
 	if in.env.profOn {
 		in.task.ProfPush(m.Name)
@@ -619,7 +586,7 @@ func (in *Interp) Execute() (heap.Word, error) {
 		}
 		body := in.loop
 		if in.env.Opts.Tier != TierExec {
-			body = in.loopThreaded
+			body = in.loopCompiled
 		}
 		again, ok := in.protect(body)
 		if !ok {

@@ -421,14 +421,14 @@ func genArithProgram(rng *rand.Rand) string {
 	return b.String()
 }
 
-// TestTiersAgreeOnRandomPrograms: the switch interpreter and the threaded
+// TestTiersAgreeOnRandomPrograms: the switch interpreter and the fused
 // tier compute identical results on random arithmetic programs.
 func TestTiersAgreeOnRandomPrograms(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := genArithProgram(rng)
 		a := callMainWith(t, src, Options{})
-		b := callMainWith(t, src, Options{Threaded: true})
+		b := callMainWith(t, src, Options{Tier: TierOpt})
 		return a == b
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {

@@ -7,16 +7,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// This file is the third execution tier (Options.Tier: TierOpt): a
-// profile-driven superinstruction compiler. Methods start life on the
-// threaded tier; once a deterministic hotness threshold is crossed —
-// activation count, or attributed work ticks when the virtual-time
-// profiler is attached — the method is recompiled into fused closure
+// This file is the compiled tier (Options.Tier: TierOpt), the
+// reproduction's analog of the Jikes RVM optimizing compiler in the paper:
+// each method is compiled at its first activation into fused closure
 // streams:
 //
 //   - maximal straight-line runs of simple opcodes become one closure
-//     that steps through a pre-decoded micro-op array, eliminating the
-//     per-instruction indirect call and loop overhead of threaded code;
+//     that steps through a pre-decoded micro-op array, with no dispatch
+//     between constituents;
 //   - calls, allocations and natives are resolved once at compile time
 //     (callee record, class field specs, native function) instead of
 //     per-execution name lookups;
@@ -32,37 +30,57 @@ import (
 // yield point with identical quantum-expiry timing, and a pure run that
 // provably passes no acting yield point charges once (see fuse) — f.pc is
 // stamped wherever a constituent can yield or fault, so fault pcs and
-// rollback dispatch are unchanged, and barrier elision remains exactly the
-// statically-proven RAW opcode set produced by rewrite.ApplyStaticElision.
-// The three-tier property tests pin heap/Stats/clock equivalence over
-// every example program.
+// rollback dispatch are unchanged, every store keeps its write barrier, and
+// barrier elision remains exactly the statically-proven RAW opcode set
+// produced by rewrite.ApplyStaticElision. The tier-equivalence property
+// tests pin heap/Stats/clock equivalence with exec over every example
+// program.
 
-// compileTiered returns the code for one activation of r under TierOpt:
-// fused code once hot, threaded code until then. (The activation count
-// was already bumped by pushFrame.)
-func (e *Env) compileTiered(r *methodRec) []opFunc {
-	if r.fused != nil {
-		return r.fused
-	}
-	if e.hot(r) {
+// opFunc executes one compiled instruction (or fused run), updating f.pc
+// itself.
+type opFunc func(in *Interp, f *frame)
+
+// execOp is the compiled tier's fallback for cold opcodes and the interior
+// pcs of a fused run: the interpreter's implementation of the instruction
+// at f.pc, which stamps its own profiler site. One shared function, so
+// compiling a method allocates no closure per fallback pc.
+func execOp(in *Interp, f *frame) { in.exec(f, f.m.Code[f.pc]) }
+
+// fusedCode returns r's compiled code, compiling it at the first
+// activation.
+func (e *Env) fusedCode(r *methodRec) []opFunc {
+	if r.fused == nil {
 		r.fused = e.compileOpt(r)
 		if e.profOn {
 			e.RT.Config().Profiler.SetFuncTier(r.m.Name, "opt")
 		}
-		return r.fused
 	}
-	return e.compile(r)
+	return r.fused
 }
 
-// hot applies the deterministic hotness thresholds: activation count, or
-// profiler-attributed work ticks. Both feeds are functions of the
-// deterministic virtual-time execution, so recompilation points — and
-// therefore entire runs — are reproducible.
-func (e *Env) hot(r *methodRec) bool {
-	if r.calls >= e.Opts.OptCallThreshold {
-		return true
+// loopCompiled is the compiled-code twin of loop.
+func (in *Interp) loopCompiled() {
+	for len(in.frames) > 0 && in.err == nil {
+		f := in.top()
+		if f.pc < 0 || f.pc >= len(f.fns) {
+			in.fail("%s: pc %d out of range", f.m.Name, f.pc)
+			return
+		}
+		f.fns[f.pc](in, f)
 	}
-	return e.profOn && e.RT.Config().Profiler.FuncWork(r.m.Name) >= e.Opts.OptHotTicks
+	in.done = true
+}
+
+// prologue is exec's per-instruction prologue for the dedicated closure
+// of the instruction at f.pc: profiler stamp, tick charge, race-site stamp.
+func (in *Interp) prologue(f *frame) {
+	if in.env.profOn {
+		in.task.SetProfSite(f.pc)
+	}
+	in.task.Step(in.env.Opts.CostPerInstr)
+	if in.env.raceOn {
+		in.task.SetRaceSite(f.m.Name, f.pc)
+	}
 }
 
 // fusable reports whether op may join a fused straight-line run: simple
@@ -117,7 +135,7 @@ func (e *Env) elidedSavestacks(m *bytecode.Method) map[int]bool {
 	return dead
 }
 
-// compileOpt builds the fused code for a hot method.
+// compileOpt builds the fused code for a method.
 func (e *Env) compileOpt(r *methodRec) []opFunc {
 	m := r.m
 	cost := e.Opts.CostPerInstr
@@ -165,8 +183,7 @@ func (e *Env) compileOpt(r *methodRec) []opFunc {
 			// Interior pcs are not leaders, so compiled dispatch never
 			// lands on them; keep the table total with exec fallbacks.
 			for q := pc + 1; q < end; q++ {
-				ins := code[q]
-				fns[q] = func(in *Interp, f *frame) { in.exec(f, ins) }
+				fns[q] = execOp
 			}
 			if term != nil {
 				fns[end] = term
@@ -332,16 +349,16 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 	}
 }
 
-// compileConfinedElision builds the tier-3 closure for a certified
+// compileConfinedElision builds the compiled closure for a certified
 // thread-confined MONITORENTER or MONITOREXIT: the whole monitor operation
 // is a charge-only no-op — the ref is popped and null-checked for NPE
 // parity, the elision is counted and audited, and control falls through.
 // The certificate check happened at plan-build time (Env.confinedIn), so
 // the closure itself carries no fact lookup.
-func (e *Env) compileConfinedElision(mname string, pc int, head func(*Interp)) opFunc {
+func (e *Env) compileConfinedElision(mname string, pc int) opFunc {
 	next := pc + 1
 	return func(in *Interp, f *frame) {
-		head(in)
+		in.prologue(f)
 		if _, ok := in.object(f.pop()); !ok {
 			return
 		}
@@ -353,23 +370,69 @@ func (e *Env) compileConfinedElision(mname string, pc int, head func(*Interp)) o
 	}
 }
 
-// compileOptOne builds the tier-3 closure for one non-fusable
-// instruction: compile-time-resolved where the operand allows it, the
-// threaded tier's closure for branches, exec fallback for the cold rest.
+// compileOptOne builds the compiled closure for one non-fusable
+// instruction: compile-time-resolved where the operand allows it, a
+// dedicated closure for branches, exec fallback for the cold rest.
 // Every dedicated closure mirrors exec's hook order exactly — profiler
 // stamp, Step, race-site stamp, body.
 func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost simtime.Ticks) opFunc {
 	m := r.m
 	next := pc + 1
 	mname := m.Name
-	if fn := e.compileCall(r, pc, instr, cost); fn != nil {
-		return fn
-	}
-	head := e.prologue(mname, pc, cost)
-
 	switch instr.Op {
+	case bytecode.INVOKE:
+		// The closure holds the callee's record, so a call performs no
+		// lookup and no allocation. An unknown name is left to exec, which
+		// reports it when the call runs.
+		callee := r.callee(pc)
+		if callee == nil {
+			break
+		}
+		return func(in *Interp, f *frame) {
+			in.prologue(f)
+			in.invoke(f, callee)
+		}
+	case bytecode.RETURN:
+		return func(in *Interp, f *frame) {
+			in.prologue(f)
+			in.returnFrom(f, 0)
+		}
+	case bytecode.IRETURN:
+		return func(in *Interp, f *frame) {
+			in.prologue(f)
+			in.returnFrom(f, f.pop())
+		}
+
 	case bytecode.GOTO, bytecode.IFZ, bytecode.IFNZ:
-		fn, _ := compileOne(instr, pc, cost)
+		// Branches touch no heap, so unlike exec they skip the race-site
+		// stamp.
+		target := instr.A
+		var fn opFunc
+		switch instr.Op {
+		case bytecode.GOTO:
+			fn = func(in *Interp, f *frame) {
+				in.task.Step(cost)
+				f.pc = target
+			}
+		case bytecode.IFNZ:
+			fn = func(in *Interp, f *frame) {
+				in.task.Step(cost)
+				if f.pop() != 0 {
+					f.pc = target
+				} else {
+					f.pc = next
+				}
+			}
+		default:
+			fn = func(in *Interp, f *frame) {
+				in.task.Step(cost)
+				if f.pop() == 0 {
+					f.pc = target
+				} else {
+					f.pc = next
+				}
+			}
+		}
 		if e.profOn {
 			inner := fn
 			fn = func(in *Interp, f *frame) {
@@ -382,7 +445,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 	case bytecode.GETFIELD:
 		idx := instr.A
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			o, ok := in.object(f.pop())
 			if !ok {
 				return
@@ -397,7 +460,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 	case bytecode.PUTFIELD:
 		idx := instr.A
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			v := f.pop()
 			o, ok := in.object(f.pop())
 			if !ok {
@@ -412,7 +475,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		}
 	case bytecode.ALOAD:
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			idx := f.pop()
 			a, ok := in.array(f.pop())
 			if !ok {
@@ -427,7 +490,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		}
 	case bytecode.ASTORE:
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			v := f.pop()
 			idx := f.pop()
 			a, ok := in.array(f.pop())
@@ -443,7 +506,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		}
 	case bytecode.ARRAYLEN:
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			a, ok := in.array(f.pop())
 			if !ok {
 				return
@@ -460,7 +523,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		costWrite := e.RT.Config().CostWrite
 		audit := e.Opts.ElisionAudit
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			v := f.pop()
 			o, ok := in.object(f.pop())
 			if !ok {
@@ -484,7 +547,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		costWrite := e.RT.Config().CostWrite
 		audit := e.Opts.ElisionAudit
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			in.task.Step(costWrite)
 			in.task.CountRawStore()
 			if audit != nil {
@@ -498,7 +561,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		costWrite := e.RT.Config().CostWrite
 		audit := e.Opts.ElisionAudit
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			v := f.pop()
 			idx := f.pop()
 			a, ok := in.array(f.pop())
@@ -533,7 +596,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		factsOn := e.Opts.Facts != nil
 		class := cls
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			o := in.env.RT.Heap().AllocObject(class.Name, specs...)
 			ref := heap.Word(o.ID())
 			in.env.objects[ref] = o
@@ -547,7 +610,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 	case bytecode.NEWARR:
 		factsOn := e.Opts.Facts != nil
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			n := f.pop()
 			if n < 0 {
 				in.raiseUser("NegativeArraySizeException")
@@ -570,7 +633,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		}
 		name, nargs := instr.S, instr.A
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			args := make([]heap.Word, nargs)
 			for i := nargs - 1; i >= 0; i-- {
 				args[i] = f.pop()
@@ -590,7 +653,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		// certificate compiles to a hard error, never to a silent
 		// specialization.
 		if e.confinedIn(m)[pc] == confinedEnter {
-			return e.compileConfinedElision(mname, pc, head)
+			return e.compileConfinedElision(mname, pc)
 		}
 		regionIdx := e.regionIndex(m, pc)
 		rewritten := e.Opts.Rewritten
@@ -607,7 +670,7 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		}
 		dlOn := e.dlOn
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			mon, ok := in.monitorFor(f.pop())
 			if !ok {
 				return
@@ -629,10 +692,10 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		}
 	case bytecode.MONITOREXIT:
 		if e.confinedIn(m)[pc] == confinedExit {
-			return e.compileConfinedElision(mname, pc, head)
+			return e.compileConfinedElision(mname, pc)
 		}
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			mon, ok := in.monitorFor(f.pop())
 			if !ok {
 				return
@@ -648,21 +711,19 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 
 	case bytecode.WORK:
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			in.task.Work(simtime.Ticks(f.pop()))
 			f.pc = next
 		}
 	case bytecode.SLEEP:
 		return func(in *Interp, f *frame) {
-			head(in)
+			in.prologue(f)
 			in.task.Sleep(simtime.Ticks(f.pop()))
 			f.pc = next
 		}
 	}
 
 	// Cold rest (WAIT, NOTIFY, THROW, RETHROW, CHECKTARGET, SPAWN,
-	// unresolved references): the interpreter's implementation, which
-	// stamps its own profiler site.
-	ins := instr
-	return func(in *Interp, f *frame) { in.exec(f, ins) }
+	// unresolved references): the interpreter's implementation.
+	return execOp
 }

@@ -18,7 +18,34 @@ import (
 
 // allTiers is the complete tier set the equivalence properties quantify
 // over.
-var allTiers = []Tier{TierExec, TierThreaded, TierOpt}
+var allTiers = []Tier{TierExec, TierOpt}
+
+// callMainWith runs "main" under the given options.
+func callMainWith(t *testing.T, src string, opts Options) heap.Word {
+	t.Helper()
+	prog := bytecode.MustAssemble(src)
+	rt := core.New(core.Config{Mode: core.Unmodified, Sched: sched.Config{Quantum: 1000}})
+	env, err := NewEnv(rt, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := prog.Method("main")
+	if !ok {
+		t.Fatal("no main")
+	}
+	var ret heap.Word
+	var callErr error
+	rt.Spawn("main", sched.NormPriority, func(tk *core.Task) {
+		ret, callErr = env.Call(tk, m, nil)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if callErr != nil {
+		t.Fatal(callErr)
+	}
+	return ret
+}
 
 // tierFinalState is everything externally observable at the end of a run:
 // the final virtual clock, the complete runtime statistics, and a
@@ -32,9 +59,7 @@ type tierFinalState struct {
 
 // runExampleTier executes one example file on one tier through the full
 // rvmrun pipeline — assemble, verify, rewrite, static analysis, elision —
-// and captures the final state. OptCallThreshold 1 forces every method
-// onto fused code from its first activation, so TierOpt runs exercise the
-// superinstruction compiler throughout, not just on re-invoked methods.
+// and captures the final state.
 func runExampleTier(t *testing.T, src string, tier Tier) tierFinalState {
 	t.Helper()
 	text, err := os.ReadFile(src)
@@ -65,10 +90,9 @@ func runExampleTier(t *testing.T, src string, tier Tier) tierFinalState {
 		Sched:             sched.Config{Quantum: 1000, SwitchCost: 3},
 	})
 	env, err := Run(rt, prog, Options{
-		Rewritten:        true,
-		Tier:             tier,
-		OptCallThreshold: 1,
-		Facts:            facts,
+		Rewritten: true,
+		Tier:      tier,
+		Facts:     facts,
 	})
 	if err != nil {
 		t.Fatalf("%v tier: %v", tier, err)
@@ -104,12 +128,12 @@ func finalState(rt *core.Runtime, env *Env) tierFinalState {
 	return tierFinalState{clock: int64(rt.Now()), stats: rt.Stats(), heap: b.String()}
 }
 
-// TestTierEquivalenceAllExamples is the three-tier grand invariant: every
+// TestTierEquivalenceAllExamples is the tier grand invariant: every
 // example program produces an identical final heap (statics, object
 // fields, array elements, print stream), identical complete Stats
 // (rollbacks, log entries, wasted ticks, raw stores, lock-word counters,
-// ...) and an identical final virtual clock on the switch interpreter,
-// the threaded tier, and the fused superinstruction tier. Fusion,
+// ...) and an identical final virtual clock on the switch interpreter and
+// the fused superinstruction tier. Fusion,
 // compile-time fact specialization and dead-SAVESTACK elision must be
 // invisible to everything but wall-clock time.
 func TestTierEquivalenceAllExamples(t *testing.T) {
@@ -137,8 +161,8 @@ func TestTierEquivalenceAllExamples(t *testing.T) {
 	}
 }
 
-// TestOptMatchesInterpreter reuses the threaded tier's mixed workload on
-// fused code (threshold 1, so both main and the callee run fused).
+// TestOptMatchesInterpreter runs a mixed workload (loop, statics, fields,
+// a call and a division) on both tiers and compares the results.
 func TestOptMatchesInterpreter(t *testing.T) {
 	src := `
 static g = 3
@@ -185,7 +209,7 @@ method half args 1 locals 1 returns {
 }
 `
 	a := callMainWith(t, src, Options{})
-	b := callMainWith(t, src, Options{Tier: TierOpt, OptCallThreshold: 1})
+	b := callMainWith(t, src, Options{Tier: TierOpt})
 	if a != b {
 		t.Fatalf("tiers disagree: interp=%d opt=%d", a, b)
 	}
@@ -204,7 +228,7 @@ func TestOptRevocation(t *testing.T) {
 		TrackDependencies: true,
 		Sched:             sched.Config{Quantum: 200},
 	})
-	env, err := Run(rt, prog, Options{Rewritten: true, Tier: TierOpt, OptCallThreshold: 1})
+	env, err := Run(rt, prog, Options{Rewritten: true, Tier: TierOpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +261,7 @@ method main locals 0 returns {
 }
 handler main from try to after target catcher catch ArithmeticException
 `
-	if got := callMainWith(t, src, Options{Tier: TierOpt, OptCallThreshold: 1}); got != 5 {
+	if got := callMainWith(t, src, Options{Tier: TierOpt}); got != 5 {
 		t.Fatalf("ret = %d", got)
 	}
 }
@@ -247,7 +271,7 @@ func TestParseTier(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Tier
-	}{{"exec", TierExec}, {"threaded", TierThreaded}, {"opt", TierOpt}} {
+	}{{"exec", TierExec}, {"opt", TierOpt}} {
 		got, err := ParseTier(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseTier(%q) = %v, %v", tc.in, got, err)
@@ -256,116 +280,83 @@ func TestParseTier(t *testing.T) {
 			t.Errorf("Tier(%v).String() = %q, want %q", got, got.String(), tc.in)
 		}
 	}
-	if _, err := ParseTier("jit"); err == nil {
-		t.Error("ParseTier(jit) succeeded")
+	for _, bad := range []string{"jit", "threaded"} {
+		if _, err := ParseTier(bad); err == nil {
+			t.Errorf("ParseTier(%s) succeeded", bad)
+		}
 	}
 }
 
-// TestTierPromotion pins the deterministic invocation-count promotion: a
-// method tiers up at its OptCallThreshold'th activation, and TierCounts
-// reports the per-tier method split.
-func TestTierPromotion(t *testing.T) {
+// TestOptCompilesOnFirstActivation: a thread body that loops inside its
+// single activation, and a helper it calls once, both run fused code under
+// TierOpt; TierCounts and the profiler's tier tags report them as opt.
+func TestOptCompilesOnFirstActivation(t *testing.T) {
 	src := `
-method main locals 1 returns {
-    invoke work
-    pop
-    invoke work
-    pop
-    invoke work
-    ireturn
-}
-method work locals 0 returns {
-    const 7
-    ireturn
-}
-`
-	prog := bytecode.MustAssemble(src)
-	rt := core.New(core.Config{Mode: core.Unmodified, Sched: sched.Config{Quantum: 1000}})
-	env, err := NewEnv(rt, prog, Options{Tier: TierOpt, OptCallThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := prog.Method("main")
-	var ret heap.Word
-	rt.Spawn("main", sched.NormPriority, func(tk *core.Task) {
-		ret, err = env.Call(tk, m, nil)
-	})
-	if rerr := rt.Run(); rerr != nil {
-		t.Fatal(rerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ret != 7 {
-		t.Fatalf("ret = %d", ret)
-	}
-	work, _ := prog.Method("work")
-	if env.rec(work).fused == nil {
-		t.Error("work (3 activations, threshold 2) not promoted to fused code")
-	}
-	if env.rec(m).fused != nil {
-		t.Error("main (1 activation, threshold 2) promoted to fused code")
-	}
-	exec, threaded, opt := env.TierCounts()
-	if exec != 0 || threaded != 1 || opt != 1 {
-		t.Errorf("TierCounts = (%d, %d, %d), want (0, 1, 1)", exec, threaded, opt)
-	}
-}
-
-// TestTierProfilePromotion pins the profile feed: with a profiler
-// attached, a method whose attributed work ticks reach OptHotTicks
-// recompiles even when its activation count stays below OptCallThreshold.
-func TestTierProfilePromotion(t *testing.T) {
-	src := `
-method main locals 1 returns {
-    invoke work
-    pop
-    invoke work
-    ireturn
-}
-method work locals 1 returns {
+static acc = 0
+thread t priority 5 run main
+method main locals 1 {
     const 40
     store 0
   loop:
     load 0
     ifz done
+    getstatic acc
+    load 0
+    add
+    putstatic acc
     load 0
     const 1
     sub
     store 0
     goto loop
   done:
+    invoke once
+    return
+}
+method once locals 0 {
+    return
+}
+`
+	p := prof.New()
+	rt := core.New(core.Config{Mode: core.Unmodified, Profiler: p, Sched: sched.Config{Quantum: 1000}})
+	env, err := Run(rt, bytecode.MustAssemble(src), Options{Tier: TierOpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec, threaded, opt := env.TierCounts(); exec != 0 || threaded != 0 || opt != 2 {
+		t.Errorf("TierCounts = (%d, %d, %d), want (0, 0, 2)", exec, threaded, opt)
+	}
+	tiers := p.Snapshot().FuncTier
+	for _, fn := range []string{"main", "once"} {
+		if tiers[fn] != "opt" {
+			t.Errorf("profiler tier tag for %s = %q, want opt", fn, tiers[fn])
+		}
+	}
+	idx, _ := env.Prog.StaticIndex("acc")
+	if got := rt.Heap().GetStatic(idx); got != 820 {
+		t.Errorf("acc = %d, want 820", got)
+	}
+}
+
+// TestCompileCache: a method is compiled once; later activations reuse
+// its fused code.
+func TestCompileCache(t *testing.T) {
+	prog := bytecode.MustAssemble(`
+method main locals 0 returns {
     const 1
     ireturn
 }
-`
-	prog := bytecode.MustAssemble(src)
-	p := prof.New()
-	rt := core.New(core.Config{Mode: core.Unmodified, Profiler: p, Sched: sched.Config{Quantum: 1000}})
-	env, err := NewEnv(rt, prog, Options{
-		Tier:             TierOpt,
-		OptCallThreshold: 100, // activation count alone will never promote
-		OptHotTicks:      50,  // ...but the first activation's ~200 work ticks will
-	})
+`)
+	rt := core.New(core.Config{})
+	env, err := NewEnv(rt, prog, Options{Tier: TierOpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, _ := prog.Method("main")
-	rt.Spawn("main", sched.NormPriority, func(tk *core.Task) {
-		_, err = env.Call(tk, m, nil)
-	})
-	if rerr := rt.Run(); rerr != nil {
-		t.Fatal(rerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	work, _ := prog.Method("work")
-	if env.rec(work).fused == nil {
-		t.Fatalf("work not promoted by profile feed (FuncWork=%d)", p.FuncWork("work"))
-	}
-	if tier := p.Snapshot().FuncTier["work"]; tier != "opt" {
-		t.Errorf("profiler tier tag for work = %q, want opt", tier)
+	f1 := env.fusedCode(env.rec(m))
+	f2 := env.fusedCode(env.rec(m))
+	if &f1[0] != &f2[0] {
+		t.Fatal("compile not cached")
 	}
 }
 
@@ -410,7 +401,7 @@ method main locals 1 returns {
 	}
 	rewrite.ApplyStaticElision(prog, facts)
 	rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 1000}})
-	env, err := NewEnv(rt, prog, Options{Rewritten: true, Tier: TierOpt, OptCallThreshold: 1, Facts: facts})
+	env, err := NewEnv(rt, prog, Options{Rewritten: true, Tier: TierOpt, Facts: facts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ func hazardSources(t *testing.T) []string {
 }
 
 // runOracle runs one program on one tier through the rvmrun -static
-// pipeline with the given TierOpt call threshold (0: the default).
-func runOracle(t *testing.T, src string, tier Tier, threshold int) (*core.Runtime, *Env) {
+// pipeline.
+func runOracle(t *testing.T, src string, tier Tier) (*core.Runtime, *Env) {
 	t.Helper()
 	prog, facts := prepareExample(t, src)
 	rt := core.New(core.Config{
@@ -57,22 +57,22 @@ func runOracle(t *testing.T, src string, tier Tier, threshold int) (*core.Runtim
 		DeadlockDetection: true,
 		Sched:             sched.Config{Quantum: 1000, SwitchCost: 3},
 	})
-	env, err := Run(rt, prog, Options{Rewritten: true, Tier: tier, Facts: facts, OptCallThreshold: threshold})
+	env, err := Run(rt, prog, Options{Rewritten: true, Tier: tier, Facts: facts})
 	if err != nil {
 		t.Fatalf("%s %v tier: %v", src, tier, err)
 	}
 	return rt, env
 }
 
-// renderOracle runs every oracle program on every tier with default tier
-// thresholds, and renders each run's final clock, complete Stats,
-// per-tier method counts, heap fingerprint and printed output.
+// renderOracle runs every oracle program on every tier and renders each
+// run's final clock, complete Stats, per-tier method counts, heap
+// fingerprint and printed output.
 func renderOracle(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, src := range oracleSources(t) {
 		for _, tier := range allTiers {
-			rt, env := runOracle(t, src, tier, 0)
+			rt, env := runOracle(t, src, tier)
 			st := finalState(rt, env)
 			stats, err := json.Marshal(st.stats)
 			if err != nil {

@@ -45,10 +45,7 @@ func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64
 	if _, err := Run(rt, prog, Options{
 		Rewritten: true,
 		Tier:      tier,
-		// Promote at the first activation so TierOpt runs attribute from
-		// fused code throughout.
-		OptCallThreshold: 1,
-		Out:              io.Discard,
+		Out:       io.Discard,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64
 //   - the waste dimension reconciles EXACTLY with core.Stats.WastedTicks —
 //     the profiler's rollback reclassification and the runtime's CPU-delta
 //     accounting agree tick for tick;
-//   - all three tiers attribute identically (the per-constituent stamps in
+//   - both tiers attribute identically (the per-constituent stamps in
 //     fused superinstructions mirror exec's per-instruction stamps).
 //
 // Block is deliberately outside the sum: on the uniprocessor, parked time

@@ -71,10 +71,10 @@ method highMain locals 1 {
     return
 }
 `
-	for _, threaded := range []bool{false, true} {
-		name := "interpreter"
-		if threaded {
-			name = "threaded"
+	for _, tier := range allTiers {
+		name := tier.String()
+		if tier == TierExec {
+			name = "interpreter"
 		}
 		t.Run(name, func(t *testing.T) {
 			prog, err := rewrite.Rewrite(bytecode.MustAssemble(src))
@@ -93,7 +93,7 @@ method highMain locals 1 {
 				t.Fatalf("no depth-2 SAVESTACK injected:\n%s", bytecode.Disassemble(low))
 			}
 			rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 200}})
-			env, err := Run(rt, prog, Options{Rewritten: true, Threaded: threaded})
+			env, err := Run(rt, prog, Options{Rewritten: true, Tier: tier})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,14 +89,8 @@ type Profiler struct {
 	counts    [NumDims]map[sampleKey]int64
 	totals    [NumDims]int64
 
-	// funcWork accumulates gross Work ticks per function — the hotness
-	// feed for the interpreter's compiling tier. Gross deliberately:
-	// rollback reclassification does not subtract, since a method that
-	// burns ticks in doomed sections is still hot.
-	funcWork map[int32]int64
-
-	// funcTier tags functions with the execution tier that last compiled
-	// them ("threaded", "opt"), surfaced on attributed sites in Top.
+	// funcTier tags functions with the execution tier that compiled them
+	// ("opt"), surfaced on attributed sites in Top.
 	funcTier map[int32]string
 
 	// sampler, when set, observes every Work tick charge with its leaf
@@ -113,7 +107,6 @@ func New() *Profiler {
 	p := &Profiler{
 		funcIDs:  make(map[string]int32),
 		nodeIDs:  make(map[node]int32),
-		funcWork: make(map[int32]int64),
 		funcTier: make(map[int32]string),
 	}
 	for d := range p.counts {
@@ -162,19 +155,6 @@ func (p *Profiler) SchedTick(label string, d simtime.Ticks) {
 	n := p.internNode(node{fn: p.internFunc("<" + label + ">")})
 	p.add(Sched, sampleKey{node: n}, int64(d))
 	p.mu.Unlock()
-}
-
-// FuncWork returns the gross Work ticks attributed to function fn so far
-// — the deterministic hotness feed consumed by the compiling tier.
-// Unknown functions return 0.
-func (p *Profiler) FuncWork(fn string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id, ok := p.funcIDs[fn]
-	if !ok {
-		return 0
-	}
-	return p.funcWork[id]
 }
 
 // SetFuncTier tags fn with the execution tier that compiled it; Top
@@ -284,12 +264,8 @@ func (tp *ThreadProf) Tick(d simtime.Ticks) {
 	var leaf string
 	p.mu.Lock()
 	p.add(Work, key, int64(d))
-	if key.node != 0 {
-		fn := p.nodes[key.node-1].fn
-		p.funcWork[fn] += int64(d)
-		if p.sampler != nil && len(tp.stack) > 1 {
-			leaf = p.funcNames[fn-1]
-		}
+	if key.node != 0 && p.sampler != nil && len(tp.stack) > 1 {
+		leaf = p.funcNames[p.nodes[key.node-1].fn-1]
 	}
 	p.mu.Unlock()
 	if p.sampler != nil && p.clock != nil {
@@ -469,7 +445,8 @@ func stackLess(a, b []Frame) bool {
 }
 
 // TopSite is one leaf site in a Top ranking. Tier, when non-empty, names
-// the execution tier that compiled the function ("threaded", "opt").
+// the execution tier that compiled the function: "opt" for a function
+// compiled by TierOpt, empty for one that only ran on exec.
 type TopSite struct {
 	Func  string `json:"func"`
 	PC    int    `json:"pc"`

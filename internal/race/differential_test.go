@@ -43,7 +43,7 @@ func exampleCorpus(t *testing.T) []string {
 // means the lockset analysis wrongly proved a racing slot protected.
 func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 	for _, src := range exampleCorpus(t) {
-		for _, tier := range []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt} {
+		for _, tier := range []interp.Tier{interp.TierExec, interp.TierOpt} {
 			src, tier := src, tier
 			name := filepath.Base(src) + "/" + tier.String()
 			t.Run(name, func(t *testing.T) {
@@ -79,10 +79,9 @@ func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 					Sched:             sched.Config{Quantum: 1000},
 				})
 				if _, err := interp.Run(rt, prog, interp.Options{
-					Rewritten:        true,
-					Tier:             tier,
-					OptCallThreshold: 1,
-					Out:              io.Discard,
+					Rewritten: true,
+					Tier:      tier,
+					Out:       io.Discard,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +107,7 @@ func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 func TestCertifiedSkipPreservesReports(t *testing.T) {
 	sawSkips := false
 	for _, src := range exampleCorpus(t) {
-		for _, tier := range []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt} {
+		for _, tier := range []interp.Tier{interp.TierExec, interp.TierOpt} {
 			src, tier := src, tier
 			t.Run(filepath.Base(src)+"/"+tier.String(), func(t *testing.T) {
 				text, err := os.ReadFile(src)
@@ -144,10 +143,9 @@ func TestCertifiedSkipPreservesReports(t *testing.T) {
 						Sched:             sched.Config{Quantum: 1000},
 					})
 					if _, err := interp.Run(rt, prog, interp.Options{
-						Rewritten:        true,
-						Tier:             tier,
-						OptCallThreshold: 1,
-						Out:              io.Discard,
+						Rewritten: true,
+						Tier:      tier,
+						Out:       io.Discard,
 					}); err != nil {
 						t.Fatal(err)
 					}
