@@ -37,6 +37,9 @@ type Report struct {
 	GOOS       string        `json:"goos"`
 	GOARCH     string        `json:"goarch"`
 	Benchmarks []BenchResult `json:"benchmarks"`
+	// Host fingerprints the machine of a same-host A/B entry: CPU model
+	// and GOMAXPROCS. Entries are comparable only when it matches.
+	Host string `json:"host,omitempty"`
 	// Latency holds the per-thread blocking-time and rollback wasted-work
 	// distributions of representative observed cells (see RunLatency).
 	Latency []LatencyResult `json:"latency,omitempty"`

@@ -278,6 +278,10 @@ type Runtime struct {
 	// rollback-equivalence property runs identical programs with and without
 	// dedup and asserts the heaps end identical.
 	noDedup bool
+	// slowCharges holds every task on the full charge path, as a profiler
+	// does. Test-only: the fast-charge equivalence test runs identical
+	// workloads with and without it and asserts identical ticks.
+	slowCharges bool
 }
 
 // New creates a runtime with a fresh scheduler and heap.
@@ -365,7 +369,7 @@ func (rt *Runtime) Monitors() []*monitor.Monitor { return rt.monitors }
 
 // Spawn creates a simulated thread running body.
 func (rt *Runtime) Spawn(name string, prio sched.Priority, body func(*Task)) *Task {
-	task := &Task{rt: rt, log: undo.NewLog(64), costMask: -1}
+	task := &Task{rt: rt, clk: rt.sch.Clock(), log: undo.NewLog(64), costMask: -1}
 	if rt.cfg.NoCosts {
 		task.costMask = 0
 	}
@@ -377,6 +381,7 @@ func (rt *Runtime) Spawn(name string, prio sched.Priority, body func(*Task)) *Ta
 		task.finish()
 	})
 	task.th.Data = task
+	task.setRevokeReq(nil) // holds a profiled task from its first charge
 	rt.tasks[task.th.ID()] = task
 	if rt.cfg.Race != nil {
 		rt.cfg.Race.ThreadStart(task.th.ID(), name)
@@ -459,10 +464,13 @@ type rollbackSignal struct {
 type Task struct {
 	rt  *Runtime
 	th  *sched.Thread
+	clk *simtime.Clock // the scheduler's clock: the fast charge's one object
 	log *undo.Log
 
-	frames    []frame
-	spanGen   uint64 // increments when the outermost frame is pushed
+	frames  []frame
+	spanGen uint64 // increments when the outermost frame is pushed
+	// revokeReq is the pending revocation; every write goes through
+	// setRevokeReq, which keeps the thread held while one is pending.
 	revokeReq *revocation
 
 	// costMask is all ones, or 0 under Config.NoCosts: the fast charge
@@ -537,25 +545,38 @@ func (t *Task) finish() {
 	}
 }
 
+// setRevokeReq is the one writer of revokeReq. A pending request holds
+// the thread (sched.Thread.Hold) so the next charge reaches the yield
+// point that delivers it; a profiled task holds for good, since every
+// tick needs its site.
+func (t *Task) setRevokeReq(r *revocation) {
+	t.revokeReq = r
+	t.th.Hold(r != nil || t.tp != nil || t.rt.slowCharges)
+}
+
 // step charges cost ticks, passes a yield point, and delivers any pending
-// revocation. Every shared-data operation calls it, making each operation a
-// yield point exactly as the paper's compiler arranges.
+// revocation. Every shared-data operation does this, making each operation
+// a yield point exactly as the paper's compiler arranges; the barriers
+// open-code it so their fast path makes no call.
 func (t *Task) step(cost simtime.Ticks) {
 	if !t.chargeFast(cost) {
 		t.stepSlow(cost)
 	}
 }
 
-// chargeFast charges cost and reports true when it is below the headroom:
-// then no yield point the charge passes could act, so the charge is one
-// compare and the clock add. It inlines, and so do Headroom and Charge.
+// chargeFast charges cost and reports true when it is below the clock's
+// fast-charge bound: then no yield point the charge passes could act, so
+// the charge is one compare and the clock add. The bound is closed while
+// a preemption or revocation is pending or a profiler is attached, which
+// sends every such charge to stepSlow. It inlines into every barrier.
 func (t *Task) chargeFast(cost simtime.Ticks) bool {
-	if c := cost & t.costMask; uint64(c) < uint64(t.Headroom()) {
-		t.th.Charge(c)
-		return true
-	}
-	return false
+	return t.clk.TryAdvance(cost & t.costMask)
 }
+
+// TryStep is chargeFast for the execution tiers: it charges cost and
+// reports true when the charge passes no yield point that would act.
+// Callers call Step when it reports false.
+func (t *Task) TryStep(cost simtime.Ticks) bool { return t.chargeFast(cost) }
 
 // stepSlow is step's full path: the charge, the profiler tick, the yield
 // point and revocation delivery.
@@ -572,23 +593,19 @@ func (t *Task) stepSlow(cost simtime.Ticks) {
 	}
 }
 
-// Headroom returns how many ticks the task may charge through Charge
-// without skipping a yield point that would act: the thread's headroom
-// (sched.Thread.Headroom), or 0 while a profiler is attached (every tick
-// needs its site) or a revocation is pending.
-func (t *Task) Headroom() simtime.Ticks {
-	if t.tp != nil || t.revokeReq != nil {
-		return 0
-	}
-	return t.th.Headroom()
-}
+// Headroom returns how many ticks the running task may charge through
+// Charge without skipping a yield point that would act: the clock's
+// fast-charge bound, which is closed (0) while a profiler is attached
+// (every tick needs its site), a revocation is pending or a preemption
+// was requested.
+func (t *Task) Headroom() simtime.Ticks { return t.clk.Headroom() }
 
 // Charge adds d ticks (none under Config.NoCosts) without a yield point.
 // The caller guarantees 0 <= d < Headroom(), so the yield points the
 // charge stands in for would not have acted: the clock, the switch points
 // and every counter are exactly those of the same ticks charged through
 // Step.
-func (t *Task) Charge(d simtime.Ticks) { t.th.Charge(d & t.costMask) }
+func (t *Task) Charge(d simtime.Ticks) { t.clk.Advance(d & t.costMask) }
 
 // Step charges one instruction's cost, cost >= 0: the single
 // per-instruction entry of every execution tier. It is Work without
@@ -731,7 +748,9 @@ func (t *Task) logStaticStore(idx int) bool {
 
 // WriteField stores v into field idx of o through the write barrier.
 func (t *Task) WriteField(o *heap.Object, idx int, v heap.Word) {
-	t.step(t.rt.cfg.CostWrite)
+	if c := t.rt.cfg.CostWrite; !t.chargeFast(c) {
+		t.stepSlow(c)
+	}
 	if t.logging() {
 		if t.logObjectStore(o, idx) {
 			t.chargeLogEntry()
@@ -757,7 +776,9 @@ func (t *Task) WriteField(o *heap.Object, idx int, v heap.Word) {
 
 // ReadField loads field idx of o through the read barrier.
 func (t *Task) ReadField(o *heap.Object, idx int) heap.Word {
-	t.step(t.rt.cfg.CostRead)
+	if c := t.rt.cfg.CostRead; !t.chargeFast(c) {
+		t.stepSlow(c)
+	}
 	if t.rt.cfg.TrackDependencies && t.rt.spec.HasForeign(t.th.ID()) {
 		t.dependencyHit(t.rt.spec.CheckReadObject(o, idx, t.th.ID()))
 	}
@@ -776,7 +797,9 @@ func (t *Task) ReadField(o *heap.Object, idx int) heap.Word {
 
 // WriteElem stores v into element idx of a through the write barrier.
 func (t *Task) WriteElem(a *heap.Array, idx int, v heap.Word) {
-	t.step(t.rt.cfg.CostWrite)
+	if c := t.rt.cfg.CostWrite; !t.chargeFast(c) {
+		t.stepSlow(c)
+	}
 	if t.logging() {
 		if t.logArrayStore(a, idx) {
 			t.chargeLogEntry()
@@ -795,7 +818,9 @@ func (t *Task) WriteElem(a *heap.Array, idx int, v heap.Word) {
 
 // ReadElem loads element idx of a through the read barrier.
 func (t *Task) ReadElem(a *heap.Array, idx int) heap.Word {
-	t.step(t.rt.cfg.CostRead)
+	if c := t.rt.cfg.CostRead; !t.chargeFast(c) {
+		t.stepSlow(c)
+	}
 	if t.rt.cfg.TrackDependencies && t.rt.spec.HasForeign(t.th.ID()) {
 		t.dependencyHit(t.rt.spec.CheckReadArray(a, idx, t.th.ID()))
 	}
@@ -807,7 +832,9 @@ func (t *Task) ReadElem(a *heap.Array, idx int) heap.Word {
 
 // WriteStatic stores v into static offset idx through the write barrier.
 func (t *Task) WriteStatic(idx int, v heap.Word) {
-	t.step(t.rt.cfg.CostWrite)
+	if c := t.rt.cfg.CostWrite; !t.chargeFast(c) {
+		t.stepSlow(c)
+	}
 	if t.logging() {
 		if t.logStaticStore(idx) {
 			t.chargeLogEntry()
@@ -831,7 +858,9 @@ func (t *Task) WriteStatic(idx int, v heap.Word) {
 
 // ReadStatic loads static offset idx through the read barrier.
 func (t *Task) ReadStatic(idx int) heap.Word {
-	t.step(t.rt.cfg.CostRead)
+	if c := t.rt.cfg.CostRead; !t.chargeFast(c) {
+		t.stepSlow(c)
+	}
 	if t.rt.cfg.TrackDependencies && t.rt.spec.HasForeign(t.th.ID()) {
 		t.dependencyHit(t.rt.spec.CheckReadStatic(idx, t.th.ID()))
 	}
@@ -1024,7 +1053,7 @@ func (t *Task) enter(m *monitor.Monitor) {
 			// higher-priority thread arrived while we were queued and
 			// granted but not yet dispatched. Release untouched, re-queue.
 			if req := t.revokeReq; req != nil && req.mon == m && req.monGen == m.Gen() && t.firstFrameOf(m) < 0 {
-				t.revokeReq = nil
+				t.setRevokeReq(nil)
 				rt.stats.PreemptedGrants++
 				rt.sch.Emit(trace.Event{Kind: trace.Rollback, Thread: t.Name(), Object: m.Name(), Other: req.requester, Detail: req.reason})
 				m.ForceRelease(t.th)
@@ -1172,7 +1201,7 @@ func (rt *Runtime) requestRevocation(victim *Task, m *monitor.Monitor, reason, r
 		if victim.revokeReq != nil && victim.firstFrameOf(victim.revokeReq.mon) >= 0 {
 			return true // an enclosing rollback will release m anyway
 		}
-		victim.revokeReq = &revocation{mon: m, monGen: m.Gen(), requester: requester, reason: reason}
+		victim.setRevokeReq(&revocation{mon: m, monGen: m.Gen(), requester: requester, reason: reason})
 		rt.stats.RevocationRequests++
 		rt.sch.Expedite(victim.th)
 		rt.sch.Emit(trace.Event{Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(), Other: requester, Detail: reason})
@@ -1194,7 +1223,7 @@ func (rt *Runtime) requestRevocation(victim *Task, m *monitor.Monitor, reason, r
 			return true
 		}
 	}
-	victim.revokeReq = req
+	victim.setRevokeReq(req)
 	rt.stats.RevocationRequests++
 	rt.sch.Emit(trace.Event{Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(), Other: requester, Aux: int64(idx + 1), Detail: reason})
 	// A blocked or sleeping victim cannot reach a yield point on its own:
@@ -1233,10 +1262,10 @@ func (t *Task) firstFrameOf(m *monitor.Monitor) int {
 func (t *Task) deliverRevocation() {
 	rt := t.rt
 	req := t.revokeReq
-	t.revokeReq = nil
 	if req == nil {
 		return
 	}
+	t.setRevokeReq(nil)
 	idx := t.firstFrameOf(req.mon)
 	if idx < 0 || t.frames[idx].monGen != req.monGen {
 		return // stale: the section already committed

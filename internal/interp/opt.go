@@ -77,7 +77,9 @@ func (in *Interp) prologue(f *frame) {
 	if in.env.profOn {
 		in.task.SetProfSite(f.pc)
 	}
-	in.task.Step(in.env.Opts.CostPerInstr)
+	if c := in.env.Opts.CostPerInstr; !in.task.TryStep(c) {
+		in.task.Step(c)
+	}
 	if in.env.raceOn {
 		in.task.SetRaceSite(f.m.Name, f.pc)
 	}
@@ -259,7 +261,9 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 				if profOn {
 					t.SetProfSite(pc)
 				}
-				t.Step(cost)
+				if !t.TryStep(cost) {
+					t.Step(cost)
+				}
 			}
 			switch op.op {
 			case bytecode.NOP:
@@ -411,12 +415,16 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 		switch instr.Op {
 		case bytecode.GOTO:
 			fn = func(in *Interp, f *frame) {
-				in.task.Step(cost)
+				if !in.task.TryStep(cost) {
+					in.task.Step(cost)
+				}
 				f.pc = target
 			}
 		case bytecode.IFNZ:
 			fn = func(in *Interp, f *frame) {
-				in.task.Step(cost)
+				if !in.task.TryStep(cost) {
+					in.task.Step(cost)
+				}
 				if f.pop() != 0 {
 					f.pc = target
 				} else {
@@ -425,7 +433,9 @@ func (e *Env) compileOptOne(r *methodRec, pc int, instr bytecode.Instr, cost sim
 			}
 		default:
 			fn = func(in *Interp, f *frame) {
-				in.task.Step(cost)
+				if !in.task.TryStep(cost) {
+					in.task.Step(cost)
+				}
 				if f.pop() == 0 {
 					f.pc = target
 				} else {

@@ -176,19 +176,19 @@ type Thread struct {
 	body   func(*Thread)
 	resume chan resumeMsg
 
-	// limit is the scheduler's nextPreempt while the thread runs, and 0
-	// otherwise: Headroom reads it instead of checking that the thread is
-	// the current one. The extra load and compare of that check push
-	// core's charge fast path over Go's inlining budget.
-	limit simtime.Ticks
-
-	// Accounting.
-	cpu       simtime.Ticks // total ticks charged by this thread
+	// Accounting. cpu is accumulated when the thread comes back to the
+	// scheduler: while a thread runs, every clock advance is its own
+	// charge, so its CPU is the clock's movement since runStart.
+	cpu       simtime.Ticks // ticks charged in completed dispatches
+	runStart  simtime.Ticks // clock at the current dispatch's first instruction
 	switches  int64
 	startedAt simtime.Ticks
 	endedAt   simtime.Ticks
 
-	preemptReq  bool
+	preemptReq bool
+	// hold keeps the clock's fast-charge bound closed while the thread
+	// runs, so every charge takes its caller's full path (see Hold).
+	hold        bool
 	wakeKind    WakeKind
 	blockReason string
 	inQueue     bool
@@ -216,7 +216,12 @@ func (t *Thread) BasePriority() Priority { return t.base }
 func (t *Thread) State() State { return t.state }
 
 // CPU returns the total ticks this thread has charged to the clock.
-func (t *Thread) CPU() simtime.Ticks { return t.cpu }
+func (t *Thread) CPU() simtime.Ticks {
+	if t.sch.current == t {
+		return t.cpu + t.sch.clock.Now() - t.runStart
+	}
+	return t.cpu
+}
 
 // Switches returns how many times the thread has been dispatched.
 func (t *Thread) Switches() int64 { return t.switches }
@@ -491,8 +496,9 @@ func (s *Scheduler) dispatch(t *Thread) {
 		s.nextPreempt = s.clock.Now() + s.cfg.Quantum
 	}
 	t.state = StateRunning
-	t.limit = s.nextPreempt
 	s.current = t
+	t.runStart = s.clock.Now()
+	s.openBound(t)
 	// N carries the dispatch cost just paid so stream consumers (the causal
 	// DAG) can recover the previous thread's exact yield moment without
 	// knowing the scheduler configuration.
@@ -500,7 +506,8 @@ func (s *Scheduler) dispatch(t *Thread) {
 	t.resume <- resumeMsg{}
 	<-s.back
 	s.current = nil
-	t.limit = 0
+	s.clock.SetLimit(0)
+	t.cpu += s.clock.Now() - t.runStart
 	// A thread that yielded while runnable goes to the back of the queue.
 	if t.state == StateRunnable && !t.inQueue {
 		t.state = StateNew // enqueue() asserts/flips to Runnable
@@ -580,25 +587,45 @@ func (t *Thread) Advance(d simtime.Ticks) {
 	t.Charge(d)
 }
 
-// Headroom returns how many ticks the thread may charge before its next
-// yield point could switch: nextPreempt − now while it is the running
-// thread with no preemption requested, and 0 otherwise (including once
-// the timeslice has expired). A charge of d < Headroom() followed by any
-// number of yield points with no clock advance between them never
-// switches, so callers may skip those yield points.
-func (t *Thread) Headroom() simtime.Ticks {
-	if t.preemptReq {
-		return 0
+// openBound sets the clock's fast-charge bound for the running thread t:
+// the timeslice boundary, or closed while t has a preemption requested or
+// is held. It is the one place the bound opens.
+func (s *Scheduler) openBound(t *Thread) {
+	if t.preemptReq || t.hold {
+		s.clock.SetLimit(0)
+	} else {
+		s.clock.SetLimit(s.nextPreempt)
 	}
-	return max(t.limit-t.sch.clock.Now(), 0)
 }
 
-// Charge adds d ticks of work to the clock and the thread's accounting
-// without a yield point or a running-thread check. Callers guarantee
-// 0 <= d < Headroom(), which implies both.
-func (t *Thread) Charge(d simtime.Ticks) {
-	t.sch.clock.Advance(d)
-	t.cpu += d
+// Headroom returns how many ticks the thread may charge before its next
+// yield point could switch: the clock's fast-charge bound (nextPreempt −
+// now) while it is the running thread with no preemption requested and
+// no hold, and 0 otherwise (including once the timeslice has expired). A
+// charge of d < Headroom() followed by any number of yield points with no
+// clock advance between them never switches, so callers may skip those
+// yield points.
+func (t *Thread) Headroom() simtime.Ticks {
+	if t.sch.current != t {
+		return 0
+	}
+	return t.sch.clock.Headroom()
+}
+
+// Charge adds d ticks of work to the clock without a yield point or a
+// running-thread check. Callers guarantee 0 <= d < Headroom(), which
+// implies both; the thread's CPU follows from the clock.
+func (t *Thread) Charge(d simtime.Ticks) { t.sch.clock.Advance(d) }
+
+// Hold keeps every charge of the thread off the clock's fast path while
+// on is true: its bound stays closed whenever the thread runs. The
+// runtime holds a thread while a revocation is pending for it or a
+// profiler needs every tick's site.
+func (t *Thread) Hold(on bool) {
+	t.hold = on
+	if t.sch.current == t {
+		t.sch.openBound(t)
+	}
 }
 
 // NeedsYield reports whether the next YieldPoint would context-switch:
@@ -651,8 +678,14 @@ func (t *Thread) Sleep(d simtime.Ticks) {
 }
 
 // Preempt requests that t yields at its next yield point. Any thread (or
-// the scheduler) may call it.
-func (t *Thread) Preempt() { t.preemptReq = true }
+// the scheduler) may call it. It closes the clock's fast-charge bound
+// when t is running, so the next charge reaches that yield point.
+func (t *Thread) Preempt() {
+	t.preemptReq = true
+	if t.sch.current == t {
+		t.sch.clock.SetLimit(0)
+	}
+}
 
 // Unblock makes a blocked thread runnable with the given wake reason. It
 // must be called from scheduler context or from the running thread.

@@ -22,6 +22,11 @@ type Clock struct {
 	now    Ticks
 	timers timerQueue
 	seq    int64 // tie-breaker so equal deadlines fire FIFO
+
+	// limit is the running thread's fast-charge bound: the instant before
+	// which a charge passes no yield point that would act. 0 closes it.
+	// The scheduler owns it (see SetLimit); TryAdvance reads it.
+	limit Ticks
 }
 
 // NewClock returns a clock positioned at tick zero.
@@ -39,6 +44,26 @@ func (c *Clock) Advance(d Ticks) {
 		panic(negativeAdvance(d))
 	}
 	c.now += d
+}
+
+// SetLimit sets the fast-charge bound: TryAdvance succeeds only for
+// charges that end before limit. 0 closes the bound.
+func (c *Clock) SetLimit(limit Ticks) { c.limit = limit }
+
+// Headroom returns limit − now, or 0 once the bound is closed or reached:
+// TryAdvance(d) succeeds exactly for 0 <= d < Headroom().
+func (c *Clock) Headroom() Ticks { return max(c.limit-c.now, 0) }
+
+// TryAdvance advances the clock by d and reports true when
+// 0 <= d < limit − now; otherwise it leaves the clock alone. It is the
+// charge fast path of every barrier and yield point, so it must stay
+// small enough to inline into them.
+func (c *Clock) TryAdvance(d Ticks) bool {
+	if 0 <= d && d < c.limit-c.now {
+		c.now += d
+		return true
+	}
+	return false
 }
 
 // negativeAdvance is Advance's panic value. Formatting it only when the

@@ -253,3 +253,32 @@ func TestHeapOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTryAdvanceBound: TryAdvance moves the clock only for charges that
+// end before the bound, never for a negative one, and never while the
+// bound is closed; Headroom is the bound's distance, floored at 0.
+func TestTryAdvanceBound(t *testing.T) {
+	c := NewClock()
+	c.Advance(5)
+	steps := []struct {
+		limit, d Ticks
+		ok       bool
+		now      Ticks
+		headroom Ticks
+	}{
+		{0, 0, false, 5, 0},    // closed: not even a zero charge
+		{10, 4, true, 9, 1},    // ends before the bound
+		{10, 1, false, 9, 1},   // would reach the bound
+		{10, -1, false, 9, 1},  // negative charges take the slow path
+		{20, 10, true, 19, 1},  // reopened further out
+		{12, 0, false, 19, 0},  // bound already passed
+		{100, 0, true, 19, 81}, // a zero charge passes an open bound
+	}
+	for i, s := range steps {
+		c.SetLimit(s.limit)
+		if ok := c.TryAdvance(s.d); ok != s.ok || c.Now() != s.now || c.Headroom() != s.headroom {
+			t.Fatalf("step %d: TryAdvance(%d) under limit %d = %v, now %d, headroom %d; want %v, %d, %d",
+				i, s.d, s.limit, ok, c.Now(), c.Headroom(), s.ok, s.now, s.headroom)
+		}
+	}
+}
