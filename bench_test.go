@@ -15,8 +15,11 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/bench"
 	"repro/internal/bytecode"
 	"repro/internal/core"
@@ -607,3 +610,36 @@ func BenchmarkAblationQueueDiscipline(b *testing.B) {
 // BenchmarkYieldPoint measures the per-instruction charge at steady state:
 // Task.Step(1) passing a yield point that does not switch.
 func BenchmarkYieldPoint(b *testing.B) { bench.StepBench(b) }
+
+// BenchmarkAnalyze measures the static front end as rvmrun -static runs it:
+// rewrite.Rewrite, then analysis.Analyze, over every example program per
+// iteration.
+func BenchmarkAnalyze(b *testing.B) {
+	srcs, err := filepath.Glob(filepath.Join("examples", "*", "*.rvm"))
+	if err != nil || len(srcs) == 0 {
+		b.Fatalf("no example programs: %v", err)
+	}
+	progs := make([]*bytecode.Program, len(srcs))
+	for i, src := range srcs {
+		text, err := os.ReadFile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if progs[i], err = bytecode.Assemble(string(text)); err != nil {
+			b.Fatalf("%s: %v", src, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			q, err := rewrite.Rewrite(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := analysis.Analyze(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

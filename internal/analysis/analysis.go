@@ -193,15 +193,12 @@ type Facts struct {
 	confined map[Pos][]int
 }
 
-// Analyze runs every pass over p. The program must verify (Analyze runs
-// bytecode.Verify itself and returns its error otherwise). p is not
-// modified; Facts keyed by method name and pc remain valid for any clone
-// with identical code, including the same program after ApplyElision
-// rewrites stores to their raw forms.
+// Analyze runs every pass over p. The program must verify: Analyze runs
+// the bytecode verifier itself, once per method, and returns the error
+// bytecode.Verify would. p is not modified; Facts keyed by method name and
+// pc remain valid for any clone with identical code, including the same
+// program after ApplyElision rewrites stores to their raw forms.
 func Analyze(p *bytecode.Program) (*Facts, error) {
-	if err := bytecode.Verify(p); err != nil {
-		return nil, err
-	}
 	f := &Facts{
 		prog:      p,
 		methods:   make(map[string]*methodInfo, len(p.Methods)),
@@ -228,17 +225,64 @@ func Analyze(p *bytecode.Program) (*Facts, error) {
 		f.methods[m.Name] = mi
 		f.CallGraph[m.Name] = sortedUnique(mi.callees)
 	}
+	if err := bytecode.VerifyThreads(p); err != nil {
+		return nil, err
+	}
+	d := &derivation{f: f}
 	f.computeMayRunHeld()
 	f.computeMonitorFree()
 	f.discoverSections()
 	f.buildLockOrder()
 	f.computeElision()
-	f.computeRaces()
-	f.computeEscape()
-	f.computeDeadlocks()
-	f.computePermissions()
+	f.computeRaces(d)
+	f.computeEscape(d)
+	f.computeDeadlocks(d)
+	f.computePermissions(d)
 	f.normalize()
 	return f, nil
+}
+
+// derivation memoizes the results several passes read, so each is solved
+// once: thread reachability, each method's lock-name states and each
+// allocation site's escape verdict. It is never stored in Facts: Analyze
+// makes one for all its passes and VerifyCertificates makes its own, so
+// the certificate gate re-derives every result from the program.
+type derivation struct {
+	f      *Facts
+	reach  map[string]map[string]bool
+	names  map[*methodInfo][]*slots[string]
+	escape map[allocSite]escInfo
+}
+
+func (d *derivation) threadReach() map[string]map[string]bool {
+	if d.reach == nil {
+		d.reach = d.f.threadReachability()
+	}
+	return d.reach
+}
+
+func (d *derivation) nameStates(mi *methodInfo) []*slots[string] {
+	st, ok := d.names[mi]
+	if !ok {
+		if d.names == nil {
+			d.names = make(map[*methodInfo][]*slots[string])
+		}
+		st = d.f.nameStates(mi)
+		d.names[mi] = st
+	}
+	return st
+}
+
+func (d *derivation) allocEscape(site allocSite) escInfo {
+	info, ok := d.escape[site]
+	if !ok {
+		if d.escape == nil {
+			d.escape = make(map[allocSite]escInfo)
+		}
+		info = d.f.allocEscape(site.mi, site.pc)
+		d.escape[site] = info
+	}
+	return info
 }
 
 // SectionAt returns the section whose MONITORENTER sits at (method, pc), or
@@ -307,19 +351,17 @@ func (f *Facts) NonRevocableSections() int {
 // when it is synchronized, is invoked at a pc whose static monitor depth is
 // positive, or is invoked (anywhere) by a method that may run held.
 func (f *Facts) computeMayRunHeld() {
-	var queue []string
+	var w callWork
 	mark := func(name string) {
 		if mi, ok := f.methods[name]; ok && !mi.mayRunHeld {
 			mi.mayRunHeld = true
-			queue = append(queue, name)
+			w.push(name)
 		}
 	}
 	for _, mi := range f.methods {
-		if mi.m.Synchronized {
-			mark(mi.m.Name)
-		}
 		base := 0
 		if mi.m.Synchronized {
+			mark(mi.m.Name)
 			base = 1
 		}
 		for pc, in := range mi.m.Code {
@@ -328,58 +370,55 @@ func (f *Facts) computeMayRunHeld() {
 			}
 		}
 	}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
+	w.run(func(name string) {
 		for _, c := range f.methods[name].callees {
 			mark(c)
 		}
-	}
+	})
 }
 
 // computeMonitorFree marks methods whose transitive call tree contains no
 // monitor operation and no native call — calls to them preserve freshness.
+// It starts optimistic, knocks out methods with a local monitor op, and
+// propagates impurity up the call graph.
 func (f *Facts) computeMonitorFree() {
-	// Start optimistic, knock out methods with a local monitor op or an
-	// unknown/impure callee, then propagate impurity up the call graph.
-	impure := func(mi *methodInfo) bool {
-		if mi.m.Synchronized {
-			return true
-		}
-		for _, in := range mi.m.Code {
-			switch in.Op {
-			case bytecode.MONITORENTER, bytecode.MONITOREXIT, bytecode.WAIT, bytecode.NATIVE,
-				bytecode.SPAWN:
-				// SPAWN publishes its arguments to a concurrently running
-				// thread, so a call into a spawning method must not preserve
-				// the caller's freshness facts.
-				return true
-			}
-		}
-		return false
-	}
 	callers := make(map[string][]string)
-	var queue []string
+	var w callWork
 	for name, mi := range f.methods {
-		mi.monitorFree = true
+		mi.monitorFree = !impure(mi.m)
 		for _, c := range mi.callees {
 			callers[c] = append(callers[c], name)
 		}
-		if impure(mi) {
-			mi.monitorFree = false
-			queue = append(queue, name)
+		if !mi.monitorFree {
+			w.push(name)
 		}
 	}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
+	w.run(func(name string) {
 		for _, caller := range callers[name] {
 			if mi := f.methods[caller]; mi.monitorFree {
 				mi.monitorFree = false
-				queue = append(queue, caller)
+				w.push(caller)
 			}
 		}
+	})
+}
+
+// impure reports whether m itself is synchronized or contains a monitor
+// operation, a native call or a SPAWN. SPAWN publishes its arguments to a
+// concurrently running thread, so a call into a spawning method must not
+// preserve the caller's freshness facts.
+func impure(m *bytecode.Method) bool {
+	if m.Synchronized {
+		return true
 	}
+	for _, in := range m.Code {
+		switch in.Op {
+		case bytecode.MONITORENTER, bytecode.MONITOREXIT, bytecode.WAIT, bytecode.NATIVE,
+			bytecode.SPAWN:
+			return true
+		}
+	}
+	return false
 }
 
 func sortedUnique(in []string) []string {

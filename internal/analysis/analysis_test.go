@@ -603,3 +603,58 @@ method ba locals 2 {
 		t.Fatal("render not deterministic")
 	}
 }
+
+// TestAnalyzeReturnsVerifyError: Analyze verifies each method once itself
+// and must still return exactly the first error bytecode.Verify reports —
+// a method error, a monitor-balance error, a thread error, and a method
+// error ahead of a thread error.
+func TestAnalyzeReturnsVerifyError(t *testing.T) {
+	cases := map[string]string{
+		"method": `
+method main locals 0 {
+    pop
+    return
+}
+`,
+		"monitor balance": `
+static L
+method main locals 0 {
+    getstatic L
+    monitorexit
+    return
+}
+`,
+		"thread": `
+thread T priority 11 run main
+method main locals 0 {
+    return
+}
+`,
+		"method before thread": `
+thread T run nowhere priority 5
+method ok locals 0 {
+    return
+}
+method bad locals 0 {
+    add
+    return
+}
+`,
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, err := bytecode.Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bytecode.Verify(p)
+			if want == nil {
+				t.Fatal("fixture verifies")
+			}
+			f, err := Analyze(p)
+			if f != nil || err == nil || err.Error() != want.Error() {
+				t.Fatalf("Analyze = %v, %v; want the verifier's %v", f, err, want)
+			}
+		})
+	}
+}

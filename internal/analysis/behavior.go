@@ -63,18 +63,18 @@ import (
 
 // behavLockID is the behavioral naming: lockID extended so monitors traced
 // to a GETFIELD merge per field index and monitors traced to an ALOAD
-// merge into one array-element name. Merging over-approximates aliasing —
-// the right direction for a may-deadlock report.
+// merge into one array-element name — directly, or through a local every
+// STORE to which is fed by the same such source. Merging over-approximates
+// aliasing — the right direction for a may-deadlock report.
 func (f *Facts) behavLockID(mi *methodInfo, ep int) string {
 	m := mi.m
 	if ep > 0 {
-		switch prev := m.Code[ep-1]; prev.Op {
-		case bytecode.GETFIELD:
-			return fmt.Sprintf("field:#%d", prev.A)
-		case bytecode.ALOAD:
-			return "array:elem"
-		case bytecode.LOAD:
-			if id := f.behavLocalSource(mi, prev.A); id != "" {
+		prev := m.Code[ep-1]
+		if id := elementSource(prev, ep-1); id != "" {
+			return id
+		}
+		if prev.Op == bytecode.LOAD {
+			if id, _ := storeSource(m, prev.A, elementSource); id != "" {
 				return id
 			}
 		}
@@ -82,37 +82,16 @@ func (f *Facts) behavLockID(mi *methodInfo, ep int) string {
 	return f.lockID(mi, ep)
 }
 
-// behavLocalSource resolves a local used as a monitor to a merged
-// behavioral name when every STORE to it is fed by the same field or
-// array-element source; "" defers to the base localLockID resolution.
-func (f *Facts) behavLocalSource(mi *methodInfo, local int) string {
-	m := mi.m
-	var ids []string
-	stores := 0
-	for pc, in := range m.Code {
-		if in.Op != bytecode.STORE || in.A != local {
-			continue
-		}
-		stores++
-		if pc == 0 {
-			continue
-		}
-		switch prev := m.Code[pc-1]; prev.Op {
-		case bytecode.GETFIELD:
-			ids = append(ids, fmt.Sprintf("field:#%d", prev.A))
-		case bytecode.ALOAD:
-			ids = append(ids, "array:elem")
-		}
+// elementSource names the merged behavioral source of a value a GETFIELD
+// or ALOAD pushes.
+func elementSource(in bytecode.Instr, _ int) string {
+	switch in.Op {
+	case bytecode.GETFIELD:
+		return fmt.Sprintf("field:#%d", in.A)
+	case bytecode.ALOAD:
+		return "array:elem"
 	}
-	if stores == 0 || len(ids) != stores {
-		return ""
-	}
-	for _, id := range ids[1:] {
-		if id != ids[0] {
-			return ""
-		}
-	}
-	return ids[0]
+	return ""
 }
 
 // multiInstance reports whether a behavioral name may denote two or more
@@ -128,12 +107,12 @@ func multiInstance(id string) bool {
 
 // computeDeadlocks builds the behavioral lock-order graph and fills
 // Facts.Deadlocks. Runs after discoverSections and buildLockOrder.
-func (f *Facts) computeDeadlocks() {
+func (f *Facts) computeDeadlocks(d *derivation) {
 	// Recursive contract inference (contracts.go): a nominal recv:/argN:
 	// name whose parameter binding closes over concrete names contributes
 	// every bound name; recursion saturates the bindings where bounded
 	// unfolding would truncate the evidence.
-	binds := f.paramBindings()
+	binds := f.paramBindings(d)
 	resolve := func(mi *methodInfo, ep int) []string {
 		return resolveLockName(f.behavLockID(mi, ep), mi.m.Name, binds)
 	}
@@ -165,27 +144,15 @@ func (f *Facts) computeDeadlocks() {
 		}
 	}
 	for _, s := range f.Sections {
-		from := lockOf[s.Enter]
-		mi := f.methods[s.Enter.Method]
-		for _, pc := range s.PCs {
-			if mi.m.Code[pc].Op == bytecode.MONITORENTER && pc != s.Enter.PC {
-				add(from, resolve(mi, pc), Pos{mi.m.Name, pc}, s.Enter)
+		f.eachAcquisition(s, func(mi *methodInfo, pc int, sync bool) {
+			var to []string
+			if sync {
+				to = resolveLockName("recv:"+baseName(mi.m.Name), mi.m.Name, binds)
+			} else {
+				to = resolve(mi, pc)
 			}
-		}
-		for _, callee := range s.Callees {
-			ci := f.methods[callee]
-			if ci == nil {
-				continue
-			}
-			if ci.m.Synchronized {
-				add(from, resolveLockName("recv:"+baseName(callee), callee, binds), Pos{callee, 0}, s.Enter)
-			}
-			for pc, in := range ci.m.Code {
-				if in.Op == bytecode.MONITORENTER && ci.depth[pc] >= 0 {
-					add(from, resolve(ci, pc), Pos{callee, pc}, s.Enter)
-				}
-			}
-		}
+			add(lockOf[s.Enter], to, Pos{mi.m.Name, pc}, s.Enter)
+		})
 	}
 
 	// Multi-name circularities: the SCC criterion under behavioral naming.
@@ -194,7 +161,7 @@ func (f *Facts) computeDeadlocks() {
 	// Single-name circularities. acq[l] is the set of concurrent thread
 	// instances that may acquire l — the thread-system fixpoint, spawn
 	// pseudo-identities counting their multiplicity.
-	reach := f.threadReachability()
+	reach := d.threadReach()
 	acq := make(map[string]map[string]bool)
 	for _, s := range f.Sections {
 		for _, l := range lockOf[s.Enter] {

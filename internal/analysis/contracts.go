@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bytecode"
@@ -60,48 +61,45 @@ type lamBinding struct {
 // method's i-th parameter; behavioral lock names never collide with it.
 const paramRefPrefix = "\x00param:"
 
-// lamFlowTerm is one constraint on a callee parameter collected at a call
-// site: a concrete behavioral name, a caller-parameter reference, or ""
-// (unknown — the parameter is open).
-type lamFlowTerm struct {
-	name      string // concrete name, or "" when ref/open
-	refMethod string // caller method for a parameter reference
-	refIdx    int
+// absorb adds src's names and openness to b and reports whether b changed.
+func (b *lamBinding) absorb(src *lamBinding) (changed bool) {
+	for n := range src.names {
+		if !b.names[n] {
+			b.names[n] = true
+			changed = true
+		}
+	}
+	if src.open && !b.open {
+		b.open = true
+		changed = true
+	}
+	return changed
 }
 
-// paramBindings runs the whole-program fixpoint and returns the binding
-// set per method and parameter index.
-func (f *Facts) paramBindings() map[string][]lamBinding {
-	// Collect flow terms per (callee, param index).
-	type slot struct {
-		method string
-		idx    int
-	}
-	terms := make(map[slot]map[lamFlowTerm]bool)
-	addTerm := func(callee string, idx int, t lamFlowTerm) {
-		s := slot{callee, idx}
-		if terms[s] == nil {
-			terms[s] = make(map[lamFlowTerm]bool)
+// paramBindings solves the whole-program binding sets per method and
+// parameter index. Each call site contributes to its callee's parameter
+// slots: a concrete name directly, an unknown value by opening the slot,
+// and a caller-parameter reference as a flow edge binds[callee][j] ⊇
+// binds[caller][i], which the call-graph driver closes.
+func (f *Facts) paramBindings(d *derivation) map[string][]lamBinding {
+	binds := make(map[string][]lamBinding, len(f.prog.Methods))
+	for _, m := range f.prog.Methods {
+		bs := make([]lamBinding, m.Args)
+		for i := range bs {
+			bs[i].names = make(map[string]bool)
 		}
-		terms[s][t] = true
+		binds[m.Name] = bs
 	}
+	type flow struct {
+		from   int    // caller parameter index
+		callee string // callee method
+		to     int    // callee parameter index
+	}
+	flows := make(map[string][]flow)
+	var w callWork
 	for _, m := range f.prog.Methods {
 		mi := f.methods[m.Name]
-		states := f.nameStates(mi)
-		if states == nil {
-			// Unmodellable method: every argument it passes is open.
-			for pc, in := range m.Code {
-				if (in.Op != bytecode.INVOKE && in.Op != bytecode.SPAWN) || mi.depth[pc] < 0 {
-					continue
-				}
-				if callee := f.methods[in.S]; callee != nil {
-					for j := 0; j < callee.m.Args; j++ {
-						addTerm(in.S, j, lamFlowTerm{})
-					}
-				}
-			}
-			continue
-		}
+		states := d.nameStates(mi)
 		for pc, in := range m.Code {
 			if (in.Op != bytecode.INVOKE && in.Op != bytecode.SPAWN) || mi.depth[pc] < 0 {
 				continue
@@ -110,318 +108,89 @@ func (f *Facts) paramBindings() map[string][]lamBinding {
 			if callee == nil {
 				continue
 			}
+			// An unmodellable method or a short stack passes every
+			// argument open.
 			st := states[pc]
-			if st == nil || len(st.stack) < callee.m.Args {
-				for j := 0; j < callee.m.Args; j++ {
-					addTerm(in.S, j, lamFlowTerm{})
-				}
-				continue
-			}
-			base := len(st.stack) - callee.m.Args
 			for j := 0; j < callee.m.Args; j++ {
-				v := st.stack[base+j]
-				switch {
+				b := &binds[in.S][j]
+				if st == nil || len(st.stack) < callee.m.Args {
+					b.open = true
+					continue
+				}
+				switch v := st.stack[len(st.stack)-callee.m.Args+j]; {
 				case v == "":
-					addTerm(in.S, j, lamFlowTerm{})
+					b.open = true
 				case strings.HasPrefix(v, paramRefPrefix):
-					var i int
-					fmt.Sscanf(v[len(paramRefPrefix):], "%d", &i)
-					addTerm(in.S, j, lamFlowTerm{refMethod: m.Name, refIdx: i})
+					i, _ := strconv.Atoi(v[len(paramRefPrefix):]) // nameStates wrote it with Itoa
+					flows[m.Name] = append(flows[m.Name], flow{i, in.S, j})
 				default:
-					addTerm(in.S, j, lamFlowTerm{name: v})
+					b.names[v] = true
 				}
 			}
 		}
+		w.push(m.Name)
 	}
 	// A declared thread's target starts with zeroed locals, not caller
 	// arguments: any parameters it has are open.
 	for _, td := range f.prog.Threads {
-		if mi := f.methods[td.Method]; mi != nil {
-			for j := 0; j < mi.m.Args; j++ {
-				addTerm(td.Method, j, lamFlowTerm{})
+		for j := range binds[td.Method] {
+			binds[td.Method][j].open = true
+		}
+	}
+	// Least fixpoint over the flow edges; recursion makes them cyclic.
+	w.run(func(name string) {
+		for _, fl := range flows[name] {
+			if binds[fl.callee][fl.to].absorb(&binds[name][fl.from]) {
+				w.push(fl.callee)
 			}
 		}
-	}
-
-	binds := make(map[string][]lamBinding)
-	for _, m := range f.prog.Methods {
-		bs := make([]lamBinding, m.Args)
-		for i := range bs {
-			bs[i].names = make(map[string]bool)
-		}
-		binds[m.Name] = bs
-	}
-	// Least-fixpoint iteration over the (small) constraint graph.
-	for changed := true; changed; {
-		changed = false
-		for s, ts := range terms {
-			b := &binds[s.method][s.idx]
-			for t := range ts {
-				switch {
-				case t.name != "":
-					if !b.names[t.name] {
-						b.names[t.name] = true
-						changed = true
-					}
-				case t.refMethod != "":
-					src := binds[t.refMethod]
-					if t.refIdx < 0 || t.refIdx >= len(src) {
-						if !b.open {
-							b.open = true
-							changed = true
-						}
-						continue
-					}
-					for n := range src[t.refIdx].names {
-						if !b.names[n] {
-							b.names[n] = true
-							changed = true
-						}
-					}
-					if src[t.refIdx].open && !b.open {
-						b.open = true
-						changed = true
-					}
-				default:
-					if !b.open {
-						b.open = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
+	})
 	return binds
 }
 
-// nameState is the symbolic lock-name vector at one pc: each slot holds a
-// concrete behavioral name, a paramRefPrefix reference, or "" (unknown).
-type nameState struct {
-	stack  []string
-	locals []string
-}
-
-func (s *nameState) clone() *nameState {
-	return &nameState{
-		stack:  append([]string(nil), s.stack...),
-		locals: append([]string(nil), s.locals...),
-	}
-}
-
-// flatMerge meets other into s slot-wise on the flat lattice (equal names
-// keep, different names drop to unknown); reports whether s changed and
-// ok=false on a stack-shape mismatch.
-func (s *nameState) flatMerge(other *nameState) (changed, ok bool) {
-	if len(s.stack) != len(other.stack) || len(s.locals) != len(other.locals) {
-		return false, false
-	}
-	for i := range s.stack {
-		if s.stack[i] != other.stack[i] && s.stack[i] != "" {
-			s.stack[i] = ""
-			changed = true
-		}
-	}
-	for i := range s.locals {
-		if s.locals[i] != other.locals[i] && s.locals[i] != "" {
-			s.locals[i] = ""
-			changed = true
-		}
-	}
-	return changed, true
-}
-
-// nameStates computes the in-state for every pc, or nil when an
-// instruction cannot be modelled (the callers then treat every argument
-// the method passes as open).
-func (f *Facts) nameStates(mi *methodInfo) []*nameState {
+// nameStates computes the symbolic lock-name vector at every pc: each slot
+// holds a concrete behavioral name, a paramRefPrefix reference, or ""
+// (unknown). A pc has no state when it is unreached or when an instruction
+// cannot be modelled (the callers then treat every argument the method
+// passes as open).
+func (f *Facts) nameStates(mi *methodInfo) []*slots[string] {
 	m := mi.m
-	states := make([]*nameState, len(m.Code))
-	var queue []int
-	bad := false
-	post := func(pc int, st *nameState) {
-		if states[pc] == nil {
-			states[pc] = st.clone()
-			queue = append(queue, pc)
-			return
+	flat := func(a, b string) string {
+		if a == b {
+			return a
 		}
-		changed, ok := states[pc].flatMerge(st)
-		if !ok {
-			bad = true
-			return
-		}
-		if changed {
-			queue = append(queue, pc)
-		}
+		return ""
 	}
-	entry := &nameState{locals: make([]string, m.Locals)}
+	l := &lattice[slots[string]]{
+		transfer: func(pc int, st *slots[string]) bool { return f.nameTransfer(mi, pc, st) },
+		join:     slotJoin(flat),
+		// An exception at any covered pc transfers to the target with an
+		// unknown operand stack but the LOCALS preserved, so the target's
+		// locals are the flat meet over the covered range. (Seeding with
+		// all-unknown locals instead would let a rollback trampoline's back
+		// edge erase every name the straight-line flow established.)
+		handler: coveredSeed(mi, flat),
+	}
+	entry := &slots[string]{locals: make([]string, m.Locals)}
 	for i := 0; i < m.Args && i < m.Locals; i++ {
-		entry.locals[i] = fmt.Sprintf("%s%d", paramRefPrefix, i)
+		entry.locals[i] = paramRefPrefix + strconv.Itoa(i)
 	}
-	post(0, entry)
-	run := func() {
-		for len(queue) > 0 {
-			pc := queue[0]
-			queue = queue[1:]
-			st := states[pc].clone()
-			if !f.nameTransfer(mi, pc, st) {
-				bad = true
-				continue
-			}
-			for _, s := range succs(m, pc) {
-				post(s, st)
-			}
-		}
-	}
-	run()
-	// Handler union rule: an exception at any covered pc transfers to the
-	// target with an unknown operand stack but the LOCALS preserved, so the
-	// target's locals are the flat meet over the covered range. (Seeding
-	// with all-unknown locals instead would let a rollback trampoline's
-	// back edge erase every name the straight-line flow established.)
-	// Iterate to a fixpoint, as a handler may cover another handler's body.
-	for !bad {
-		progressed := false
-		for _, h := range m.Handlers {
-			if mi.stack[h.Target] < 0 {
-				continue
-			}
-			hs := &nameState{
-				stack:  make([]string, mi.stack[h.Target]),
-				locals: make([]string, m.Locals),
-			}
-			first := true
-			for pc := h.From; pc < h.To && pc < len(m.Code); pc++ {
-				if states[pc] == nil {
-					continue
-				}
-				if first {
-					copy(hs.locals, states[pc].locals)
-					first = false
-					continue
-				}
-				for i := range hs.locals {
-					if hs.locals[i] != states[pc].locals[i] {
-						hs.locals[i] = ""
-					}
-				}
-			}
-			if first {
-				continue // no covered pc reached yet
-			}
-			before := len(queue)
-			post(h.Target, hs)
-			if len(queue) > before {
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-		run()
-	}
-	if bad {
-		return nil
-	}
-	return states
+	in, _ := solve[slots[string]](m, l, entry, 0)
+	return in
 }
 
 // nameTransfer applies one instruction to st in place; ok=false when the
 // tracked stack shape underflows.
-func (f *Facts) nameTransfer(mi *methodInfo, pc int, st *nameState) bool {
+func (f *Facts) nameTransfer(mi *methodInfo, pc int, st *slots[string]) bool {
 	m := mi.m
-	in := m.Code[pc]
-	top := func(k int) int { return len(st.stack) - k }
-	pop := func(k int) bool {
-		if len(st.stack) < k {
-			return false
-		}
-		st.stack = st.stack[:len(st.stack)-k]
-		return true
+	if !st.step(f.prog, m, pc) {
+		return false
 	}
-	push := func(vals ...string) { st.stack = append(st.stack, vals...) }
-
-	switch in.Op {
-	case bytecode.LOAD:
-		push(st.locals[in.A])
-	case bytecode.STORE:
-		if len(st.stack) < 1 {
-			return false
-		}
-		st.locals[in.A] = st.stack[top(1)]
-		pop(1)
-	case bytecode.DUP:
-		if len(st.stack) < 1 {
-			return false
-		}
-		push(st.stack[top(1)])
-	case bytecode.SWAP:
-		if len(st.stack) < 2 {
-			return false
-		}
-		st.stack[top(1)], st.stack[top(2)] = st.stack[top(2)], st.stack[top(1)]
-	case bytecode.GETSTATIC:
-		if in.A >= 0 && in.A < len(f.prog.Statics) {
-			push("static:" + f.prog.Statics[in.A].Name)
-		} else {
-			push("")
-		}
-	case bytecode.NEWOBJ:
-		push(fmt.Sprintf("new:%s@%s@%d", in.S, m.Name, pc))
-	case bytecode.GETFIELD:
-		if !pop(1) {
-			return false
-		}
-		push(fmt.Sprintf("field:#%d", in.A))
-	case bytecode.ALOAD:
-		if !pop(2) {
-			return false
-		}
-		push("array:elem")
-	case bytecode.INVOKE:
-		callee := f.methods[in.S]
-		if callee == nil {
-			return false
-		}
-		if !pop(callee.m.Args) {
-			return false
-		}
-		if callee.m.Returns {
-			push("")
-		}
-	case bytecode.SPAWN:
-		callee := f.methods[in.S]
-		if callee == nil {
-			return false
-		}
-		if !pop(callee.m.Args) {
-			return false
-		}
-	case bytecode.NATIVE:
-		if !pop(in.A) {
-			return false
-		}
-		push("")
-	case bytecode.SAVESTACK:
-		d := int(in.V)
-		if len(st.stack) != d {
-			return false
-		}
-		for i := 0; i < d; i++ {
-			st.locals[in.A+i] = st.stack[i]
-		}
-	case bytecode.RESTORESTACK:
-		d := int(in.V)
-		for i := 0; i < d; i++ {
-			push(st.locals[in.A+i])
-		}
-	default:
-		pops, pushes, _, _, err := bytecode.StackEffect(f.prog, m, pc, in)
-		if err != nil || !pop(pops) {
-			return false
-		}
-		for i := 0; i < pushes; i++ {
-			push("")
-		}
+	switch in := m.Code[pc]; in.Op {
+	case bytecode.GETSTATIC, bytecode.NEWOBJ:
+		st.setTop(f.objectSource(m, in, pc))
+	case bytecode.GETFIELD, bytecode.ALOAD:
+		st.setTop(elementSource(in, pc))
 	}
 	return true
 }

@@ -76,41 +76,6 @@ type Confinement struct {
 	Sites []Pos `json:"sites"`
 }
 
-// escState is the MAY-alias vector for one allocation site: true marks a
-// slot that may hold a reference to an object from the site.
-type escState struct {
-	stack  []bool
-	locals []bool
-}
-
-func (s *escState) clone() *escState {
-	return &escState{
-		stack:  append([]bool(nil), s.stack...),
-		locals: append([]bool(nil), s.locals...),
-	}
-}
-
-// orMerge ORs other into s; reports whether s changed. A stack-shape
-// mismatch (impossible in verified code) reports ok=false.
-func (s *escState) orMerge(other *escState) (changed, ok bool) {
-	if len(s.stack) != len(other.stack) || len(s.locals) != len(other.locals) {
-		return false, false
-	}
-	for i := range s.stack {
-		if !s.stack[i] && other.stack[i] {
-			s.stack[i] = true
-			changed = true
-		}
-	}
-	for i := range s.locals {
-		if !s.locals[i] && other.locals[i] {
-			s.locals[i] = true
-			changed = true
-		}
-	}
-	return changed, true
-}
-
 // escInfo is the verdict of allocEscape for one allocation site.
 type escInfo struct {
 	// heapEscape: an alias was stored into an object/array/static or
@@ -137,95 +102,25 @@ func (e escInfo) class() string {
 }
 
 // allocEscape runs the MAY-alias dataflow for the allocation at
-// (mi, allocPC) over the whole method body.
+// (mi, allocPC) over the whole method body: a true slot may hold a
+// reference to an object from the site. A solve the transfer cannot model
+// leaves the verdict unknown.
 func (f *Facts) allocEscape(mi *methodInfo, allocPC int) escInfo {
 	m := mi.m
 	var info escInfo
-	states := make([]*escState, len(m.Code))
-	var queue []int
-	post := func(pc int, st *escState) {
-		if states[pc] == nil {
-			states[pc] = st.clone()
-			queue = append(queue, pc)
-			return
-		}
-		changed, ok := states[pc].orMerge(st)
-		if !ok {
-			info.unknown = true
-			return
-		}
-		if changed {
-			queue = append(queue, pc)
-		}
+	or := func(a, b bool) bool { return a || b }
+	l := &lattice[slots[bool]]{
+		transfer: func(pc int, st *slots[bool]) bool { return f.escTransfer(mi, pc, allocPC, st, &info) },
+		join:     slotJoin(or),
+		// An exception at any covered pc transfers to the target with the
+		// thrown object on the stack and the LOCALS preserved — aliases
+		// survive in locals across the unwind, so the target's locals are
+		// the OR over the covered range. Rollback handlers are included:
+		// conservative, since more flow only widens the may-alias set.
+		handler: coveredSeed(mi, or),
 	}
-	post(0, &escState{locals: make([]bool, m.Locals)})
-
-	run := func() {
-		for len(queue) > 0 {
-			pc := queue[0]
-			queue = queue[1:]
-			st := states[pc].clone()
-			if !f.escTransfer(mi, pc, allocPC, st, &info) {
-				info.unknown = true
-				continue
-			}
-			for _, s := range succs(m, pc) {
-				post(s, st)
-			}
-		}
-	}
-	run()
-	// Handler union rule: an exception at any covered pc transfers to the
-	// target with the thrown object on the stack and the LOCALS preserved —
-	// aliases survive in locals across the unwind, so the target's locals
-	// are the OR over the covered range. Iterate to a fixpoint (a handler
-	// may cover another handler's body). Rollback handlers are included:
-	// conservative, since more flow only widens the may-alias set.
-	for {
-		progressed := false
-		for _, h := range m.Handlers {
-			if mi.stack[h.Target] < 0 {
-				continue
-			}
-			hs := &escState{
-				stack:  make([]bool, mi.stack[h.Target]),
-				locals: make([]bool, m.Locals),
-			}
-			seen := false
-			for pc := h.From; pc < h.To && pc < len(m.Code); pc++ {
-				if states[pc] == nil {
-					continue
-				}
-				seen = true
-				for i, b := range states[pc].locals {
-					if b {
-						hs.locals[i] = true
-					}
-				}
-			}
-			if !seen {
-				continue
-			}
-			if states[h.Target] == nil {
-				states[h.Target] = hs
-				queue = append(queue, h.Target)
-				progressed = true
-				continue
-			}
-			changed, ok := states[h.Target].orMerge(hs)
-			if !ok {
-				info.unknown = true
-				continue
-			}
-			if changed {
-				queue = append(queue, h.Target)
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-		run()
+	if _, ok := solve[slots[bool]](m, l, &slots[bool]{locals: make([]bool, m.Locals)}, 0); !ok {
+		info.unknown = true
 	}
 	return info
 }
@@ -233,136 +128,50 @@ func (f *Facts) allocEscape(mi *methodInfo, allocPC int) escInfo {
 // escTransfer applies one instruction to st in place, recording escape
 // events into info; reports ok=false when the instruction cannot be
 // modelled against the tracked stack shape.
-func (f *Facts) escTransfer(mi *methodInfo, pc, allocPC int, st *escState, info *escInfo) bool {
-	m := mi.m
-	in := m.Code[pc]
-	top := func(k int) int { return len(st.stack) - k }
-	tracked := func(k int) bool { return len(st.stack) >= k && st.stack[top(k)] }
-	pop := func(k int) bool {
-		if len(st.stack) < k {
-			return false
+func (f *Facts) escTransfer(mi *methodInfo, pc, allocPC int, st *slots[bool], info *escInfo) bool {
+	in := mi.m.Code[pc]
+	tracked := func(n int) bool {
+		for k := 1; k <= n; k++ {
+			if st.top(k) {
+				return true
+			}
 		}
-		st.stack = st.stack[:len(st.stack)-k]
-		return true
+		return false
 	}
-	push := func(vals ...bool) { st.stack = append(st.stack, vals...) }
-
 	switch in.Op {
-	case bytecode.LOAD:
-		push(st.locals[in.A])
-	case bytecode.STORE:
-		if len(st.stack) < 1 {
-			return false
-		}
-		st.locals[in.A] = st.stack[top(1)]
-		pop(1)
-	case bytecode.DUP:
-		if len(st.stack) < 1 {
-			return false
-		}
-		push(st.stack[top(1)])
-	case bytecode.SWAP:
-		if len(st.stack) < 2 {
-			return false
-		}
-		st.stack[top(1)], st.stack[top(2)] = st.stack[top(2)], st.stack[top(1)]
-	case bytecode.NEWOBJ:
-		push(pc == allocPC)
-	case bytecode.NEWARR:
-		if !pop(1) {
-			return false
-		}
-		push(false)
 	case bytecode.PUTFIELD, bytecode.PUTFIELDRAW, bytecode.PUTSTATIC,
 		bytecode.PUTSTATICRAW, bytecode.ASTORE, bytecode.ASTORERAW:
 		// The stored VALUE is on top; storing an alias publishes the object
 		// into the heap. Storing INTO the object is not an escape of it.
-		if tracked(1) {
-			info.heapEscape = true
-		}
-		pops, _, _, _, err := bytecode.StackEffect(f.prog, m, pc, in)
-		if err != nil || !pop(pops) {
-			return false
-		}
-	case bytecode.MONITORENTER, bytecode.MONITOREXIT:
-		// Locking the object is its intended use, not an escape.
-		if !pop(1) {
-			return false
-		}
+		info.heapEscape = info.heapEscape || tracked(1)
 	case bytecode.WAIT, bytecode.NOTIFY, bytecode.NOTIFYALL:
-		if tracked(1) {
-			info.synced = true
-		}
-		if !pop(1) {
-			return false
-		}
+		info.synced = info.synced || tracked(1)
 	case bytecode.NATIVE:
-		for k := 1; k <= in.A; k++ {
-			if tracked(k) {
-				info.unknown = true
-			}
-		}
-		if !pop(in.A) {
-			return false
-		}
-		push(false)
-	case bytecode.INVOKE:
+		info.unknown = info.unknown || tracked(in.A)
+	case bytecode.INVOKE, bytecode.SPAWN:
 		callee := f.methods[in.S]
 		if callee == nil {
 			return false
 		}
-		for k := 1; k <= callee.m.Args; k++ {
-			if tracked(k) {
-				info.unknown = true
-			}
-		}
-		if !pop(callee.m.Args) {
-			return false
-		}
-		if callee.m.Returns {
-			push(false)
-		}
-	case bytecode.SPAWN:
-		callee := f.methods[in.S]
-		if callee == nil {
-			return false
-		}
-		for k := 1; k <= callee.m.Args; k++ {
-			if tracked(k) {
-				info.heapEscape = true
-			}
-		}
-		if !pop(callee.m.Args) {
-			return false
+		if in.Op == bytecode.SPAWN {
+			info.heapEscape = info.heapEscape || tracked(callee.m.Args)
+		} else {
+			info.unknown = info.unknown || tracked(callee.m.Args)
 		}
 	case bytecode.IRETURN, bytecode.THROW:
-		if tracked(1) {
-			info.unknown = true
-		}
-		if !pop(1) {
-			return false
-		}
-	case bytecode.SAVESTACK:
-		d := int(in.V)
-		if len(st.stack) != d {
-			return false
-		}
-		for i := 0; i < d; i++ {
-			st.locals[in.A+i] = st.stack[i]
-		}
-	case bytecode.RESTORESTACK:
-		d := int(in.V)
-		for i := 0; i < d; i++ {
-			push(st.locals[in.A+i])
-		}
-	default:
-		pops, pushes, _, _, err := bytecode.StackEffect(f.prog, m, pc, in)
-		if err != nil || !pop(pops) {
-			return false
-		}
-		for i := 0; i < pushes; i++ {
-			push(false)
-		}
+		// The value on top leaves the method's view. A THROW names its
+		// exception class and pops nothing; the pass still treats its top
+		// operand as leaving, and an empty stack there as unmodelled:
+		// unknown either way (conservative).
+		info.unknown = info.unknown || len(st.stack) == 0 || tracked(1)
+	}
+	// MONITORENTER/MONITOREXIT just pop: locking the object is its
+	// intended use, not an escape.
+	if !st.step(f.prog, mi.m, pc) {
+		return false
+	}
+	if in.Op == bytecode.NEWOBJ {
+		st.setTop(pc == allocPC)
 	}
 	return true
 }
@@ -383,58 +192,30 @@ type pairing struct {
 	poison bool
 }
 
-// monitorPairing walks (pc, relative-depth) states from the MONITORENTER
-// at ep — the same state space heldFrom explores — and classifies the
-// acquisition's release structure. Unlike heldFrom it never gives up
-// early: the full exit set is needed for the cross-enter exclusivity
-// check even when the enter itself is not cleanly bracketed.
+// monitorPairing solves the relative depths of the MONITORENTER at ep —
+// the same (pc, depth) space heldFrom explores, but following no handler
+// edge — and classifies the acquisition's release structure from them.
+// Unlike heldFrom it never gives up early: the full exit set is needed for
+// the cross-enter exclusivity check even when the enter itself is not
+// cleanly bracketed.
 func monitorPairing(m *bytecode.Method, ep int) pairing {
-	p := pairing{exits: make(map[int]bool), clean: true}
-	relCap := len(m.Code) + 1
-	visited := make(map[int]map[int]bool)
-	exitRels := make(map[int]map[int]bool)
-	type work struct{ pc, rel int }
-	var queue []work
-	post := func(pc, rel int) {
-		if rel < 1 {
-			return
+	in, blowup := depthsFrom(m, ep, false)
+	p := pairing{exits: make(map[int]bool), clean: !blowup, poison: blowup}
+	for pc, st := range in {
+		if st == nil {
+			continue
 		}
-		if rel > relCap {
-			p.poison = true
-			p.clean = false
-			return
-		}
-		if visited[pc] == nil {
-			visited[pc] = make(map[int]bool, 2)
-		}
-		if visited[pc][rel] {
-			return
-		}
-		visited[pc][rel] = true
-		queue = append(queue, work{pc, rel})
-	}
-	for _, s := range succs(m, ep) {
-		post(s, 1)
-	}
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
-		rel := w.rel
-		switch m.Code[w.pc].Op {
-		case bytecode.MONITORENTER:
-			rel++
+		switch m.Code[pc].Op {
 		case bytecode.MONITOREXIT:
-			if exitRels[w.pc] == nil {
-				exitRels[w.pc] = make(map[int]bool, 1)
+			// An exit reached at depth 1 releases exactly this acquisition.
+			// One also reachable at a nested depth is ambiguous: the runtime
+			// cannot tell from the pc alone which acquisition it closes.
+			if (*st)[0] == 1 {
+				p.exits[pc] = true
+				if len(*st) > 1 {
+					p.clean = false
+				}
 			}
-			exitRels[w.pc][w.rel] = true
-			if w.rel == 1 {
-				// This exit releases our acquisition; the continuation
-				// runs un-held and is no longer our concern.
-				p.exits[w.pc] = true
-				continue
-			}
-			rel--
 		case bytecode.WAIT:
 			// A wait suspends (and releases/re-acquires its own monitor)
 			// while ours is conceptually held; an elided section must not
@@ -442,18 +223,6 @@ func monitorPairing(m *bytecode.Method, ep int) pairing {
 			p.clean = false
 		case bytecode.RETURN, bytecode.IRETURN, bytecode.THROW, bytecode.RETHROW:
 			// The acquisition leaks past a terminal instruction.
-			p.clean = false
-			continue
-		}
-		for _, s := range succs(m, w.pc) {
-			post(s, rel)
-		}
-	}
-	// An exit pc reachable both as our release (rel 1) and as a nested
-	// release (rel > 1) is ambiguous: the runtime cannot tell from the pc
-	// alone which acquisition it closes.
-	for pc := range p.exits {
-		if len(exitRels[pc]) > 1 {
 			p.clean = false
 		}
 	}
@@ -484,8 +253,8 @@ func monitorPairing(m *bytecode.Method, ep int) pairing {
 			}
 			continue
 		}
-		for pc := h.From; pc < h.To && pc < len(m.Code); pc++ {
-			if len(visited[pc]) > 0 {
+		for _, st := range in[h.From:min(h.To, len(m.Code))] {
+			if st != nil {
 				p.clean = false
 			}
 		}
@@ -521,7 +290,7 @@ func (f *Facts) allocIndex() map[string]allocSite {
 		mi := f.methods[m.Name]
 		for pc, in := range m.Code {
 			if in.Op == bytecode.NEWOBJ && mi.depth[pc] >= 0 {
-				allocs[fmt.Sprintf("new:%s@%s@%d", in.S, m.Name, pc)] = allocSite{mi, pc}
+				allocs[f.objectSource(m, in, pc)] = allocSite{mi, pc}
 			}
 		}
 	}
@@ -540,21 +309,12 @@ func (f *Facts) allocIndex() map[string]allocSite {
 // confinement proof per origin site. computeRaces subtracts these slots
 // from the candidate race set, which in turn lets the race-free
 // certificate pass cover them.
-func (f *Facts) confinedReceiverSlots() map[string]bool {
+func (f *Facts) confinedReceiverSlots(d *derivation) map[string]bool {
 	allocs := f.allocIndex()
-	reach := f.threadReachability()
-	classOf := make(map[string]string)
+	reach := d.threadReach()
 	siteConfined := func(name string) bool {
-		cls, ok := classOf[name]
-		if !ok {
-			if site, found := allocs[name]; found {
-				cls = f.allocEscape(site.mi, site.pc).class()
-			} else {
-				cls = UnknownClass
-			}
-			classOf[name] = cls
-		}
-		return cls == ConfinedClass
+		site, found := allocs[name]
+		return found && d.allocEscape(site).class() == ConfinedClass
 	}
 	allConfined := make(map[string]bool)
 	for _, m := range f.prog.Methods {
@@ -562,8 +322,7 @@ func (f *Facts) confinedReceiverSlots() map[string]bool {
 			continue
 		}
 		mi := f.methods[m.Name]
-		var states []*nameState
-		statesDone := false
+		var states []*slots[string]
 		for pc, in := range m.Code {
 			var slot string
 			var recvDepth int
@@ -581,15 +340,10 @@ func (f *Facts) confinedReceiverSlots() map[string]bool {
 			if _, ok := allConfined[slot]; !ok {
 				allConfined[slot] = true
 			}
-			if !statesDone {
-				states = f.nameStates(mi)
-				statesDone = true
+			if states == nil {
+				states = d.nameStates(mi)
 			}
-			name := ""
-			if states != nil && states[pc] != nil && len(states[pc].stack) >= recvDepth {
-				name = states[pc].stack[len(states[pc].stack)-recvDepth]
-			}
-			if !strings.HasPrefix(name, "new:") || !siteConfined(name) {
+			if name := states[pc].top(recvDepth); !strings.HasPrefix(name, "new:") || !siteConfined(name) {
 				allConfined[slot] = false
 			}
 		}
@@ -608,7 +362,7 @@ func (f *Facts) confinedReceiverSlots() map[string]bool {
 // check the certificate set): the confinement classification of every
 // acquired multi-instance lock name, and the elidable confined
 // MONITORENTER sites with their paired exit pcs.
-func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
+func (f *Facts) escapeResults(d *derivation) (confs []Confinement, elide map[Pos][]int) {
 	// Behavioral name and acquisition sites per multi-instance lock.
 	lockOf := make(map[Pos]string, len(f.Sections))
 	sites := make(map[string][]Pos)
@@ -626,7 +380,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 	// Allocation-site index: behavioral name -> (method, NEWOBJ pc).
 	allocs := f.allocIndex()
 
-	reach := f.threadReachability()
+	reach := d.threadReach()
 	names := make([]string, 0, len(sites))
 	for name := range sites {
 		names = append(names, name)
@@ -645,7 +399,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 				c.Reason = "allocation site not found in this program"
 				break
 			}
-			info := f.allocEscape(site.mi, site.pc)
+			info := d.allocEscape(site)
 			escOf[name] = info
 			c.Class = info.class()
 			at := Pos{site.mi.m.Name, site.pc}
@@ -684,11 +438,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 	// explicit MONITORENTER brackets exactly, with exits used by no other
 	// enter in the method.
 	elide = make(map[Pos][]int)
-	type enterInfo struct {
-		pos Pos
-		p   pairing
-	}
-	byMethod := make(map[string][]enterInfo)
+	byMethod := make(map[string][]int)
 	for _, s := range f.Sections {
 		if s.SyncMethod {
 			continue
@@ -698,9 +448,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 		if !ok || info.class() != ConfinedClass || info.synced {
 			continue
 		}
-		mi := f.methods[s.Enter.Method]
-		byMethod[s.Enter.Method] = append(byMethod[s.Enter.Method],
-			enterInfo{s.Enter, monitorPairing(mi.m, s.Enter.PC)})
+		byMethod[s.Enter.Method] = append(byMethod[s.Enter.Method], s.Enter.PC)
 	}
 	methodsWith := make([]string, 0, len(byMethod))
 	for name := range byMethod {
@@ -712,6 +460,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 		// Exit exclusivity must account for EVERY enter in the method, not
 		// just the candidates: a non-confined enter sharing an exit pc with
 		// a confined one makes the exit's runtime behavior ambiguous.
+		pairings := make(map[int]pairing)
 		users := make(map[int]int)
 		poisoned := false
 		for pc, in := range mi.m.Code {
@@ -719,6 +468,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 				continue
 			}
 			p := monitorPairing(mi.m, pc)
+			pairings[pc] = p
 			if p.poison {
 				poisoned = true
 			}
@@ -726,13 +476,14 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 				users[e]++
 			}
 		}
-		for _, ei := range byMethod[mname] {
-			if !ei.p.clean || poisoned {
+		for _, ep := range byMethod[mname] {
+			p := pairings[ep]
+			if !p.clean || poisoned {
 				continue
 			}
 			exclusive := true
-			exits := make([]int, 0, len(ei.p.exits))
-			for e := range ei.p.exits {
+			exits := make([]int, 0, len(p.exits))
+			for e := range p.exits {
 				if users[e] != 1 {
 					exclusive = false
 				}
@@ -742,7 +493,7 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 				continue
 			}
 			sort.Ints(exits)
-			elide[ei.pos] = exits
+			elide[Pos{mname, ep}] = exits
 		}
 	}
 	return confs, elide
@@ -751,8 +502,8 @@ func (f *Facts) escapeResults() (confs []Confinement, elide map[Pos][]int) {
 // computeEscape runs the confinement classification and caches its
 // results on Facts. Runs after computeRaces (threadReachability shape)
 // and before computePermissions (which certifies the elision sites).
-func (f *Facts) computeEscape() {
-	f.Confinements, f.confined = f.escapeResults()
+func (f *Facts) computeEscape(d *derivation) {
+	f.Confinements, f.confined = f.escapeResults(d)
 }
 
 // ConfinedExits returns the MONITOREXIT pcs paired with the confined,
@@ -821,20 +572,14 @@ func (f *Facts) RaceFreeSlotNames() map[string]bool {
 // under-approximates protection, so a slot outside its finding set is
 // race-free on every execution; the anchor makes the obligation a
 // (method, pc, kind) key like every other certificate.
-func (f *Facts) raceFreeObligations() map[string]Pos {
-	reach := f.threadReachability()
+func (f *Facts) raceFreeObligations(d *derivation) map[string]Pos {
+	reach := d.threadReach()
 	first := make(map[string]Pos)
 	note := func(slot string, pos Pos) {
 		cur, ok := first[slot]
 		if !ok || pos.Method < cur.Method || (pos.Method == cur.Method && pos.PC < cur.PC) {
 			first[slot] = pos
 		}
-	}
-	staticSlot := func(idx int) string {
-		if idx >= 0 && idx < len(f.prog.Statics) {
-			return "static:" + f.prog.Statics[idx].Name
-		}
-		return fmt.Sprintf("static:#%d", idx)
 	}
 	for _, m := range f.prog.Methods {
 		if len(reach[m.Name]) == 0 {
@@ -848,7 +593,7 @@ func (f *Facts) raceFreeObligations() map[string]Pos {
 			pos := Pos{m.Name, pc}
 			switch in.Op {
 			case bytecode.GETSTATIC, bytecode.PUTSTATIC, bytecode.PUTSTATICRAW:
-				note(staticSlot(in.A), pos)
+				note(f.staticSlot(in.A), pos)
 			case bytecode.GETFIELD, bytecode.PUTFIELD, bytecode.PUTFIELDRAW:
 				note(fmt.Sprintf("field:#%d", in.A), pos)
 			case bytecode.ALOAD, bytecode.ASTORE, bytecode.ASTORERAW:

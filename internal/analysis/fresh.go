@@ -25,55 +25,10 @@ import (
 // provably monitor-free, because past that point a rollback of the current
 // section may not replay the allocation.
 
-// freshState tracks which stack slots and locals hold provably-fresh
-// references at one pc. Stack index 0 is the bottom (the interpreter's
-// SAVESTACK/RESTORESTACK order).
-type freshState struct {
-	stack  []bool
-	locals []bool
-}
-
-func (s *freshState) clone() *freshState {
-	c := &freshState{
-		stack:  append([]bool(nil), s.stack...),
-		locals: append([]bool(nil), s.locals...),
-	}
-	return c
-}
-
-// merge ANDs other into s; reports whether s changed. A stack-shape mismatch
-// (impossible in verified code) reports ok=false to abort the analysis.
-func (s *freshState) merge(other *freshState) (changed, ok bool) {
-	if len(s.stack) != len(other.stack) || len(s.locals) != len(other.locals) {
-		return false, false
-	}
-	for i := range s.stack {
-		if s.stack[i] && !other.stack[i] {
-			s.stack[i] = false
-			changed = true
-		}
-	}
-	for i := range s.locals {
-		if s.locals[i] && !other.locals[i] {
-			s.locals[i] = false
-			changed = true
-		}
-	}
-	return changed, true
-}
-
-func (s *freshState) killAll() {
-	for i := range s.stack {
-		s.stack[i] = false
-	}
-	for i := range s.locals {
-		s.locals[i] = false
-	}
-}
-
-// freshness computes the in-state for every pc of mi's method, or nil when
-// the method contains something the transfer function cannot model (every
-// store then simply keeps its barrier).
+// freshness computes the in-state for every pc of mi's method: which stack
+// slots and locals hold provably-fresh references. A pc has no state when
+// it is unreached or when the method contains something the transfer
+// cannot model (every store then simply keeps its barrier).
 //
 // escapeKills selects the stricter thread-locality variant used by the
 // race pass: all freshness dies the moment a fresh value escapes (is
@@ -82,188 +37,60 @@ func (s *freshState) killAll() {
 // was allocated in-section — good enough for rollback elision (the
 // allocation undo entry restores it) but not for thread-locality, where a
 // published alias would let another thread reach the object.
-func (f *Facts) freshness(mi *methodInfo, escapeKills bool) []*freshState {
+func (f *Facts) freshness(mi *methodInfo, escapeKills bool) []*slots[bool] {
 	m := mi.m
-	n := len(m.Code)
-	states := make([]*freshState, n)
-	var queue []int
-	post := func(pc int, st *freshState) bool {
-		if states[pc] == nil {
-			states[pc] = st.clone()
-			queue = append(queue, pc)
-			return true
-		}
-		changed, ok := states[pc].merge(st)
-		if !ok {
-			return false
-		}
-		if changed {
-			queue = append(queue, pc)
-		}
-		return true
+	l := &lattice[slots[bool]]{
+		transfer: func(pc int, st *slots[bool]) bool { return f.freshTransfer(mi, pc, st, escapeKills) },
+		join:     slotJoin(func(a, b bool) bool { return a && b }),
+		// Handler entries: nothing is fresh (the throwing path is unknown),
+		// with the verifier's entry depth for the stack shape.
+		handler: func(h bytecode.Handler, _ []*slots[bool]) *slots[bool] {
+			return &slots[bool]{stack: make([]bool, mi.stack[h.Target]), locals: make([]bool, m.Locals)}
+		},
 	}
-
-	entry := &freshState{locals: make([]bool, m.Locals)}
-	if !post(0, entry) {
-		return nil
-	}
-	// Handler entries: nothing is fresh (the throwing path is unknown), with
-	// the verifier's entry depth for the stack shape.
-	for _, h := range m.Handlers {
-		if mi.stack[h.Target] < 0 {
-			continue
-		}
-		hs := &freshState{
-			stack:  make([]bool, mi.stack[h.Target]),
-			locals: make([]bool, m.Locals),
-		}
-		if !post(h.Target, hs) {
-			return nil
-		}
-	}
-
-	for len(queue) > 0 {
-		pc := queue[0]
-		queue = queue[1:]
-		st := states[pc].clone()
-		in := m.Code[pc]
-		if !f.transfer(mi, pc, in, st, escapeKills) {
-			return nil
-		}
-		for _, s := range succs(m, pc) {
-			if !post(s, st) {
-				return nil
-			}
-		}
-	}
-	return states
+	in, _ := solve[slots[bool]](m, l, &slots[bool]{locals: make([]bool, m.Locals)}, 0)
+	return in
 }
 
-// transfer applies one instruction to st in place; reports ok=false when the
-// instruction cannot be modelled (stack underflow against the tracked shape).
-func (f *Facts) transfer(mi *methodInfo, pc int, in bytecode.Instr, st *freshState, escapeKills bool) bool {
-	m := mi.m
-	top := func(k int) int { return len(st.stack) - k } // index of k-th from top
-	pop := func(k int) bool {
-		if len(st.stack) < k {
-			return false
-		}
-		st.stack = st.stack[:len(st.stack)-k]
-		return true
-	}
-	push := func(vals ...bool) { st.stack = append(st.stack, vals...) }
-
-	doKill := false
+// freshTransfer applies one instruction to st in place; reports ok=false
+// when the instruction cannot be modelled against the tracked stack shape.
+func (f *Facts) freshTransfer(mi *methodInfo, pc int, st *slots[bool], escapeKills bool) bool {
+	in := mi.m.Code[pc]
+	kill := false
 	if escapeKills {
-		escaped := func(k int) bool { return len(st.stack) >= k && st.stack[top(k)] }
 		switch in.Op {
 		case bytecode.PUTFIELD, bytecode.PUTFIELDRAW, bytecode.PUTSTATIC,
 			bytecode.PUTSTATICRAW, bytecode.ASTORE, bytecode.ASTORERAW:
-			doKill = escaped(1) // the stored value is on top
+			kill = st.top(1) // the stored value is on top
 		case bytecode.INVOKE:
 			if callee := f.methods[in.S]; callee != nil {
 				for k := 1; k <= callee.m.Args; k++ {
-					if escaped(k) {
-						doKill = true
-					}
+					kill = kill || st.top(k)
 				}
 			}
 		}
 	}
-	defer func() {
-		if doKill {
-			st.killAll()
-		}
-	}()
-
+	if !st.step(f.prog, mi.m, pc) {
+		return false
+	}
 	switch in.Op {
-	case bytecode.LOAD:
-		push(st.locals[in.A])
-	case bytecode.STORE:
-		if len(st.stack) < 1 {
-			return false
-		}
-		st.locals[in.A] = st.stack[top(1)]
-		pop(1)
-	case bytecode.DUP:
-		if len(st.stack) < 1 {
-			return false
-		}
-		push(st.stack[top(1)])
-	case bytecode.SWAP:
-		if len(st.stack) < 2 {
-			return false
-		}
-		st.stack[top(1)], st.stack[top(2)] = st.stack[top(2)], st.stack[top(1)]
-	case bytecode.NEWOBJ:
-		push(true)
-	case bytecode.NEWARR:
-		if !pop(1) {
-			return false
-		}
-		push(true)
+	case bytecode.NEWOBJ, bytecode.NEWARR:
+		st.setTop(true)
 	case bytecode.MONITORENTER, bytecode.MONITOREXIT, bytecode.WAIT, bytecode.NATIVE:
 		// A monitor boundary starts/ends a section; a wait releases and
 		// re-acquires; a native is opaque. All invalidate freshness.
-		pops := 1
-		if in.Op == bytecode.NATIVE {
-			pops = in.A
-		}
-		if !pop(pops) {
-			return false
-		}
-		st.killAll()
-		if in.Op == bytecode.NATIVE {
-			push(false)
-		}
+		kill = true
 	case bytecode.INVOKE:
-		callee := f.methods[in.S]
-		if callee == nil {
-			return false
-		}
-		if !pop(callee.m.Args) {
-			return false
-		}
-		if !callee.monitorFree {
-			st.killAll()
-		}
-		if callee.m.Returns {
-			push(false)
-		}
+		kill = kill || !f.methods[in.S].monitorFree
 	case bytecode.SPAWN:
-		callee := f.methods[in.S]
-		if callee == nil {
-			return false
-		}
-		if !pop(callee.m.Args) {
-			return false
-		}
 		// The spawned thread runs concurrently from here on: its arguments
 		// are published, and any object it can reach may be mutated outside
 		// the current section, so a rollback replaying the allocation would
 		// wipe another thread's writes. All freshness dies.
-		st.killAll()
-	case bytecode.SAVESTACK:
-		d := int(in.V)
-		if len(st.stack) != d {
-			return false
-		}
-		for i := 0; i < d; i++ {
-			st.locals[in.A+i] = st.stack[i]
-		}
-	case bytecode.RESTORESTACK:
-		d := int(in.V)
-		for i := 0; i < d; i++ {
-			push(st.locals[in.A+i])
-		}
-	default:
-		pops, pushes, _, _, err := bytecode.StackEffect(f.prog, m, pc, in)
-		if err != nil || !pop(pops) {
-			return false
-		}
-		for i := 0; i < pushes; i++ {
-			push(false)
-		}
+		kill = true
+	}
+	if kill {
+		st.fill(false)
 	}
 	return true
 }
@@ -272,8 +99,7 @@ func (f *Facts) transfer(mi *methodInfo, pc int, in bytecode.Instr, st *freshSta
 func (f *Facts) computeElision() {
 	for _, m := range f.prog.Methods {
 		mi := f.methods[m.Name]
-		var fresh []*freshState
-		freshDone := false
+		var fresh []*slots[bool]
 		for pc, in := range m.Code {
 			var receiverDepth int // stack slots from top to the target ref
 			switch in.Op {
@@ -301,15 +127,10 @@ func (f *Facts) computeElision() {
 			if receiverDepth == 0 {
 				continue
 			}
-			if !freshDone {
-				fresh = f.freshness(mi, false)
-				freshDone = true
-			}
 			if fresh == nil {
-				continue
+				fresh = f.freshness(mi, false)
 			}
-			st := fresh[pc]
-			if st != nil && len(st.stack) >= receiverDepth && st.stack[len(st.stack)-receiverDepth] {
+			if fresh[pc].top(receiverDepth) {
 				f.elidable[pos] = true
 				f.ElidableStores++
 				f.FreshStores++

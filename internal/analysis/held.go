@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -29,119 +30,118 @@ import (
 // searched in the section's own instructions and in the whole body of every
 // method transitively invocable while the monitor is held.
 
-// succs returns pc's control successors inside the method (handler edges
-// excluded; the callers apply their own handler rules).
-func succs(m *bytecode.Method, pc int) []int {
-	in := m.Code[pc]
-	switch in.Op {
-	case bytecode.GOTO:
-		return []int{in.A}
-	case bytecode.IFNZ, bytecode.IFZ:
-		return []int{in.A, pc + 1}
-	case bytecode.RETURN, bytecode.IRETURN, bytecode.THROW, bytecode.RETHROW:
-		return nil
-	default:
-		if pc+1 < len(m.Code) {
-			return []int{pc + 1}
+// heldFrom returns, ascending, the pcs reachable from the MONITORENTER at
+// ep while that acquisition is held: every pc with a relative depth ≥ 1
+// (depthsFrom, union handler rule). When the depth tracking gives up it
+// returns every pc (conservative: more held pcs only suppress elisions).
+func heldFrom(m *bytecode.Method, ep int) []int {
+	in, blowup := depthsFrom(m, ep, true)
+	var held []int
+	for pc, st := range in {
+		if st != nil || blowup {
+			held = append(held, pc)
 		}
-		return nil
+	}
+	return held
+}
+
+// depthSet is the state of the relative-depth passes (heldFrom,
+// monitorPairing): the relative depths, ascending, at which the tracked
+// MONITORENTER's acquisition may be held (the acquisition itself is depth
+// 1; nested enters raise it, exits lower it, depth 0 is released).
+type depthSet []int
+
+func (d *depthSet) copyFrom(src *depthSet) { *d = append((*d)[:0], *src...) }
+
+func (d *depthSet) live() bool { return len(*d) > 0 }
+
+// union adds src's depths to d and reports whether d changed.
+func (d *depthSet) union(src depthSet) (changed bool) {
+	for _, k := range src {
+		if i, found := slices.BinarySearch(*d, k); !found {
+			*d = slices.Insert(*d, i, k)
+			changed = true
+		}
+	}
+	return changed
+}
+
+// enter raises every depth by one. A depth past limit is dropped and
+// reported: the tracking gave up.
+func (d *depthSet) enter(limit int) (overflow bool) {
+	for i := range *d {
+		(*d)[i]++
+	}
+	if n := len(*d); n > 0 && (*d)[n-1] > limit {
+		*d = (*d)[:n-1]
+		return true
+	}
+	return false
+}
+
+// exit lowers every depth by one; an acquisition reaching depth 0 is
+// released and leaves the set.
+func (d *depthSet) exit() {
+	for i := range *d {
+		(*d)[i]--
+	}
+	if len(*d) > 0 && (*d)[0] == 0 {
+		*d = (*d)[1:]
 	}
 }
 
-// heldFrom computes the pcs reachable from the MONITORENTER at ep while
-// that acquisition is held. rels[pc] records the relative depths seen
-// (depth of this acquisition = 1); a pc is in-section when it has any
-// recorded depth ≥ 1.
-func heldFrom(m *bytecode.Method, ep int) map[int]bool {
-	// visited[pc][rel] marks processed (pc, relative-depth) states. On
-	// verified programs rel is bounded by the static monitor depth, but a
-	// hand-written handler that loops back through its own covered enter
-	// site can grow it without bound; past relCap the analysis gives up
-	// and reports every instruction held (conservative: more held pcs only
-	// suppress elisions).
-	relCap := len(m.Code) + 1
-	blowup := false
-	visited := make(map[int]map[int]bool)
-	type work struct{ pc, rel int }
-	var queue []work
-	post := func(pc, rel int) {
-		if rel < 1 {
-			return // the acquisition was released on this path
-		}
-		if rel > relCap {
-			blowup = true
-			return
-		}
-		if visited[pc] == nil {
-			visited[pc] = make(map[int]bool, 2)
-		}
-		if visited[pc][rel] {
-			return
-		}
-		visited[pc][rel] = true
-		queue = append(queue, work{pc, rel})
-	}
-	for _, s := range succs(m, ep) {
-		post(s, 1)
-	}
-	for {
-		for len(queue) > 0 {
-			w := queue[0]
-			queue = queue[1:]
-			rel := w.rel
-			switch m.Code[w.pc].Op {
+// depthsFrom solves the relative depths of the MONITORENTER at ep's
+// acquisition over m, starting at depth 1 after the enter and stopping
+// where it is released. A hand-written handler that loops back through
+// its own covered enter can raise the depth without bound; past
+// len(m.Code)+1 the tracking gives up and blowup is set (the callers then
+// assume the worst). With heldRule, handler edges follow heldFrom's union
+// rule; without, no handler edge is followed.
+func depthsFrom(m *bytecode.Method, ep int, heldRule bool) (in []*depthSet, blowup bool) {
+	limit := len(m.Code) + 1
+	l := &lattice[depthSet]{
+		transfer: func(pc int, st *depthSet) bool {
+			switch m.Code[pc].Op {
 			case bytecode.MONITORENTER:
-				rel++
+				if st.enter(limit) {
+					blowup = true
+				}
 			case bytecode.MONITOREXIT:
-				rel--
+				st.exit()
 			}
-			for _, s := range succs(m, w.pc) {
-				post(s, rel)
-			}
-		}
+			return true
+		},
+		join: func(dst, src *depthSet) (bool, bool) { return dst.union(*src), true },
+	}
+	if heldRule {
 		// Union handler rule: an exception at any held pc in the range may
 		// transfer to the target with the monitor still held. Seed with the
 		// maximum depth observed in the range (over-approximating the depth
-		// only extends the held region — conservative).
-		progressed := false
-		for _, h := range m.Handlers {
+		// only extends the held region — conservative). A rollback unwind
+		// releases the monitor (and undoes its effects) before control
+		// reaches the handler, so the checktarget trampoline runs un-held;
+		// seeding it as held would also follow its re-execution back-edge
+		// through the enter site again and grow the depth without bound.
+		l.handler = func(h bytecode.Handler, in []*depthSet) *depthSet {
 			if h.Catch == bytecode.RollbackClass {
-				// A rollback unwind releases the monitor (and undoes its
-				// effects) before control reaches the handler, so the
-				// checktarget trampoline runs un-held; seeding it as held
-				// would also follow its re-execution back-edge through the
-				// enter site again and grow rel without bound.
-				continue
+				return nil
 			}
-			maxRel := 0
-			for pc := h.From; pc < h.To && pc < len(m.Code); pc++ {
-				for rel := range visited[pc] {
-					if rel > maxRel {
-						maxRel = rel
-					}
+			top := 0
+			for _, st := range in {
+				if st != nil {
+					top = max(top, (*st)[len(*st)-1])
 				}
 			}
-			if maxRel >= 1 && !visited[h.Target][maxRel] {
-				post(h.Target, maxRel)
-				progressed = true
+			if top < 1 {
+				return nil
 			}
-		}
-		if !progressed {
-			break
+			return &depthSet{top}
 		}
 	}
-	if blowup {
-		all := make(map[int]bool, len(m.Code))
-		for pc := range m.Code {
-			all[pc] = true
-		}
-		return all
-	}
-	held := make(map[int]bool, len(visited))
-	for pc := range visited {
-		held[pc] = true
-	}
-	return held
+	entry := depthSet{1}
+	next, n := succs(m, ep)
+	in, _ = solve[depthSet](m, l, &entry, next[:n]...)
+	return in, blowup
 }
 
 // discoverSections builds one Section per MONITORENTER site plus one
@@ -165,7 +165,7 @@ func (f *Facts) discoverSections() {
 				}
 			}
 			s.Callees = f.calleeClosure(mi.callees)
-			f.classify(s, m, heldAll(mi), vol)
+			f.classify(s, m, vol)
 			f.Sections = append(f.Sections, s)
 			f.sectionAt[s.Enter] = s
 		}
@@ -173,48 +173,30 @@ func (f *Facts) discoverSections() {
 			if in.Op != bytecode.MONITORENTER || mi.depth[pc] < 0 {
 				continue
 			}
-			held := heldFrom(m, pc)
 			s := &Section{
 				Enter: Pos{m.Name, pc},
 				Lock:  f.lockID(mi, pc),
+				PCs:   heldFrom(m, pc),
 			}
 			var invoked []string
-			for hp := range held {
+			for _, hp := range s.PCs {
 				mi.held[hp] = true
-				s.PCs = append(s.PCs, hp)
 				if m.Code[hp].Op == bytecode.INVOKE {
 					invoked = append(invoked, m.Code[hp].S)
 				}
 			}
-			sort.Ints(s.PCs)
 			s.Callees = f.calleeClosure(invoked)
-			f.classify(s, m, held, vol)
+			f.classify(s, m, vol)
 			f.Sections = append(f.Sections, s)
 			f.sectionAt[s.Enter] = s
 		}
 	}
 }
 
-// heldAll is the trivially-true held set for synchronized-method bodies.
-func heldAll(mi *methodInfo) map[int]bool {
-	held := make(map[int]bool, len(mi.m.Code))
-	for pc := range mi.m.Code {
-		if mi.depth[pc] >= 0 {
-			held[pc] = true
-		}
-	}
-	return held
-}
-
-// classify scans the section's own held pcs and its callee closure for the
+// classify scans the section's own pcs and its callee closure for the
 // §2.2 triggers and sets NonRevocable/Reasons.
-func (f *Facts) classify(s *Section, m *bytecode.Method, held map[int]bool, vol map[int]string) {
-	pcs := make([]int, 0, len(held))
-	for pc := range held {
-		pcs = append(pcs, pc)
-	}
-	sort.Ints(pcs)
-	for _, pc := range pcs {
+func (f *Facts) classify(s *Section, m *bytecode.Method, vol map[int]string) {
+	for _, pc := range s.PCs {
 		f.scanTrigger(s, m, pc, vol)
 	}
 	for _, callee := range s.Callees {
@@ -272,23 +254,21 @@ func (f *Facts) volatileFieldIndices() map[int]string {
 // roots, sorted.
 func (f *Facts) calleeClosure(roots []string) []string {
 	seen := make(map[string]bool)
-	var queue []string
+	var w callWork
+	reach := func(name string) {
+		if f.methods[name] != nil && !seen[name] {
+			seen[name] = true
+			w.push(name)
+		}
+	}
 	for _, r := range roots {
-		if f.methods[r] != nil && !seen[r] {
-			seen[r] = true
-			queue = append(queue, r)
-		}
+		reach(r)
 	}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
+	w.run(func(name string) {
 		for _, c := range f.methods[name].callees {
-			if f.methods[c] != nil && !seen[c] {
-				seen[c] = true
-				queue = append(queue, c)
-			}
+			reach(c)
 		}
-	}
+	})
 	if len(seen) == 0 {
 		return nil
 	}
@@ -307,67 +287,75 @@ func (f *Facts) calleeClosure(roots []string) []string {
 // trading missed cycles for zero false positives on unknown objects.
 func (f *Facts) lockID(mi *methodInfo, ep int) string {
 	m := mi.m
-	if ep == 0 {
-		return fmt.Sprintf("local:%s@%d", m.Name, ep)
-	}
-	switch prev := m.Code[ep-1]; prev.Op {
-	case bytecode.GETSTATIC:
-		if prev.A >= 0 && prev.A < len(f.prog.Statics) {
-			return "static:" + f.prog.Statics[prev.A].Name
+	if ep > 0 {
+		prev := m.Code[ep-1]
+		if id := f.objectSource(m, prev, ep-1); id != "" {
+			return id
 		}
-	case bytecode.NEWOBJ:
-		return fmt.Sprintf("new:%s@%s@%d", prev.S, m.Name, ep-1)
-	case bytecode.LOAD:
-		return f.localLockID(mi, prev.A, ep)
+		if prev.Op == bytecode.LOAD {
+			return f.localLockID(mi, prev.A, ep)
+		}
 	}
 	return fmt.Sprintf("local:%s@%d", m.Name, ep)
+}
+
+// objectSource names the object the instruction at pc pushes when it is
+// identifiable by itself: a static variable or an allocation site.
+func (f *Facts) objectSource(m *bytecode.Method, in bytecode.Instr, pc int) string {
+	switch in.Op {
+	case bytecode.GETSTATIC:
+		if in.A >= 0 && in.A < len(f.prog.Statics) {
+			return "static:" + f.prog.Statics[in.A].Name
+		}
+	case bytecode.NEWOBJ:
+		return fmt.Sprintf("new:%s@%s@%d", in.S, m.Name, pc)
+	}
+	return ""
 }
 
 // localLockID resolves the identity of a local used as a monitor object: if
 // every STORE to the local is fed by the same identifiable source (a
 // GETSTATIC or a NEWOBJ immediately preceding it), that source is the
-// identity; an unwritten local 0 of an instance method is the receiver.
+// identity; an unwritten parameter is the receiver (local 0) or argument.
 func (f *Facts) localLockID(mi *methodInfo, local, ep int) string {
 	m := mi.m
-	var ids []string
-	stores := 0
+	id, stores := storeSource(m, local, func(in bytecode.Instr, pc int) string {
+		return f.objectSource(m, in, pc)
+	})
+	switch {
+	case stores == 0 && local == 0 && m.Args > 0:
+		return "recv:" + baseName(m.Name)
+	case stores == 0 && local < m.Args:
+		return fmt.Sprintf("arg%d:%s", local, baseName(m.Name))
+	case id != "":
+		return id
+	}
+	return fmt.Sprintf("local:%s@%d", m.Name, ep)
+}
+
+// storeSource returns the source every STORE to local is fed by, as
+// source names the instruction immediately preceding each store, or ""
+// unless all stores have the same named source; stores counts them.
+func storeSource(m *bytecode.Method, local int, source func(in bytecode.Instr, pc int) string) (id string, stores int) {
+	same := true
 	for pc, in := range m.Code {
 		if in.Op != bytecode.STORE || in.A != local {
 			continue
 		}
+		src := ""
+		if pc > 0 {
+			src = source(m.Code[pc-1], pc-1)
+		}
+		if stores == 0 {
+			id = src
+		}
+		same = same && src != "" && src == id
 		stores++
-		if pc == 0 {
-			continue
-		}
-		switch prev := m.Code[pc-1]; prev.Op {
-		case bytecode.GETSTATIC:
-			if prev.A >= 0 && prev.A < len(f.prog.Statics) {
-				ids = append(ids, "static:"+f.prog.Statics[prev.A].Name)
-			}
-		case bytecode.NEWOBJ:
-			ids = append(ids, fmt.Sprintf("new:%s@%s@%d", prev.S, m.Name, pc-1))
-		}
 	}
-	if stores == 0 && local < m.Args {
-		// Parameter never overwritten: for local 0 this is the receiver.
-		if local == 0 {
-			return "recv:" + baseName(m.Name)
-		}
-		return fmt.Sprintf("arg%d:%s", local, baseName(m.Name))
+	if !same {
+		return "", stores
 	}
-	if len(ids) == stores && stores > 0 {
-		first := ids[0]
-		same := true
-		for _, id := range ids[1:] {
-			if id != first {
-				same = false
-			}
-		}
-		if same {
-			return first
-		}
-	}
-	return fmt.Sprintf("local:%s@%d", m.Name, ep)
+	return id, stores
 }
 
 // baseName strips the rewriter's $impl suffix so a lowered synchronized

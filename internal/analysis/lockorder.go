@@ -29,29 +29,45 @@ func (f *Facts) buildLockOrder() {
 	}
 
 	for _, s := range f.Sections {
-		mi := f.methods[s.Enter.Method]
-		for _, pc := range s.PCs {
-			if mi.m.Code[pc].Op == bytecode.MONITORENTER && pc != s.Enter.PC {
-				add(LockEdge{From: s.Lock, To: f.lockID(mi, pc), At: Pos{mi.m.Name, pc}, Outer: s.Enter})
+		f.eachAcquisition(s, func(mi *methodInfo, pc int, sync bool) {
+			var to string
+			if sync {
+				to = "recv:" + baseName(mi.m.Name)
+			} else {
+				to = f.lockID(mi, pc)
 			}
-		}
-		for _, callee := range s.Callees {
-			ci := f.methods[callee]
-			if ci == nil {
-				continue
-			}
-			if ci.m.Synchronized {
-				add(LockEdge{From: s.Lock, To: "recv:" + baseName(callee), At: Pos{callee, 0}, Outer: s.Enter})
-			}
-			for pc, in := range ci.m.Code {
-				if in.Op == bytecode.MONITORENTER && ci.depth[pc] >= 0 {
-					add(LockEdge{From: s.Lock, To: f.lockID(ci, pc), At: Pos{callee, pc}, Outer: s.Enter})
-				}
-			}
-		}
+			add(LockEdge{From: s.Lock, To: to, At: Pos{mi.m.Name, pc}, Outer: s.Enter})
+		})
 	}
 
 	f.Cycles = findCycles(edges)
+}
+
+// eachAcquisition calls visit for every monitor acquisition that may run
+// while s's monitor is held: each nested MONITORENTER among the section's
+// pcs, every reachable MONITORENTER in its callee closure, and the entry
+// of each synchronized callee (pc 0, sync set).
+func (f *Facts) eachAcquisition(s *Section, visit func(mi *methodInfo, pc int, sync bool)) {
+	mi := f.methods[s.Enter.Method]
+	for _, pc := range s.PCs {
+		if mi.m.Code[pc].Op == bytecode.MONITORENTER && pc != s.Enter.PC {
+			visit(mi, pc, false)
+		}
+	}
+	for _, callee := range s.Callees {
+		ci := f.methods[callee]
+		if ci == nil {
+			continue
+		}
+		if ci.m.Synchronized {
+			visit(ci, 0, true)
+		}
+		for pc, in := range ci.m.Code {
+			if in.Op == bytecode.MONITORENTER && ci.depth[pc] >= 0 {
+				visit(ci, pc, false)
+			}
+		}
+	}
 }
 
 // findCycles runs Tarjan's strongly-connected-components algorithm over the

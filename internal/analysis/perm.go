@@ -105,7 +105,7 @@ const (
 
 // computePermissions issues one certificate per obligation the earlier
 // passes created. It runs after discoverSections and computeElision.
-func (f *Facts) computePermissions() {
+func (f *Facts) computePermissions(d *derivation) {
 	f.certAt = make(map[certKey]*Certificate)
 	issue := func(c *Certificate) {
 		k := certKey{c.Pos, c.Kind}
@@ -178,7 +178,7 @@ func (f *Facts) computePermissions() {
 
 	// Race-free slots: confinement + lockset facts cover every reachable
 	// access with no racy pair, so the dynamic detector may skip the slot.
-	obls := f.raceFreeObligations()
+	obls := f.raceFreeObligations(d)
 	slots := make([]string, 0, len(obls))
 	for s := range obls {
 		slots = append(slots, s)
@@ -242,6 +242,9 @@ func (f *Facts) VerifyCertificates() error {
 	if f.prog == nil {
 		return fmt.Errorf("analysis: facts carry no program; certificates cannot be checked")
 	}
+	// A fresh derivation: the gate solves every result again from the
+	// program and never reads one Analyze produced.
+	d := &derivation{f: f}
 	want := make(map[certKey]string)
 
 	for _, m := range f.prog.Methods {
@@ -288,7 +291,7 @@ func (f *Facts) VerifyCertificates() error {
 	// Re-derive the whole-monitor elision sites from the program; a
 	// tampered section list (a deleted or edited acquisition) shifts the
 	// derivation and surfaces as a missing or stale certificate below.
-	_, elide := f.escapeResults()
+	_, elide := f.escapeResults(d)
 	for p, exits := range elide {
 		want[certKey{p, CertConfined}] = permConfined
 		for _, epc := range exits {
@@ -299,7 +302,7 @@ func (f *Facts) VerifyCertificates() error {
 	// Re-derive the race-free slot set; removing a race finding without
 	// re-running the analysis creates an uncertified obligation here.
 	slotAt := make(map[Pos]string)
-	for slot, pos := range f.raceFreeObligations() {
+	for slot, pos := range f.raceFreeObligations(d) {
 		want[certKey{pos, CertRaceFree}] = permRaceFree
 		slotAt[pos] = slot
 	}

@@ -152,6 +152,55 @@ method main locals 1 {
 		}
 	})
 
+	t.Run("race finding deleted", func(t *testing.T) {
+		f := analyze(t, `
+static count = 0
+thread T1 priority 5 run bump
+thread T2 priority 5 run bump
+method bump locals 0 {
+    getstatic count
+    const 1
+    add
+    putstatic count
+    return
+}
+`)
+		if len(f.Races) != 1 {
+			t.Fatalf("fixture races = %+v", f.Races)
+		}
+		if err := f.VerifyCertificates(); err != nil {
+			t.Fatalf("fresh facts fail verification: %v", err)
+		}
+		f.Races = nil
+		err := f.VerifyCertificates()
+		if err == nil || !strings.Contains(err.Error(), "uncertified elision") || !strings.Contains(err.Error(), string(CertRaceFree)) {
+			t.Fatalf("deleted race finding verified: %v", err)
+		}
+	})
+
+	t.Run("confined certificate forged", func(t *testing.T) {
+		f := analyze(t, permSrc)
+		var enter *Section
+		for _, s := range f.Sections {
+			if !s.SyncMethod {
+				enter = s
+			}
+		}
+		if enter == nil {
+			t.Fatal("no monitorenter section in fixture")
+		}
+		if _, ok := f.ConfinedExits(enter.Enter.Method, enter.Enter.PC); ok {
+			t.Fatalf("fixture enter %v is an elision site", enter.Enter)
+		}
+		forged := &Certificate{Kind: CertConfined, Pos: enter.Enter, Perm: permConfined}
+		f.certAt[certKey{forged.Pos, forged.Kind}] = forged
+		f.Certs = append(f.Certs, forged)
+		err := f.VerifyCertificates()
+		if err == nil || !strings.Contains(err.Error(), "stale certificate") {
+			t.Fatalf("forged confined certificate verified: %v", err)
+		}
+	})
+
 	t.Run("permission downgraded", func(t *testing.T) {
 		f := analyze(t, permSrc)
 		var tampered bool

@@ -84,8 +84,8 @@ func stableLock(id string) bool {
 
 // computeRaces runs the lockset pass, filling Facts.Races and
 // Facts.Bypasses.
-func (f *Facts) computeRaces() {
-	reach := f.threadReachability()
+func (f *Facts) computeRaces(d *derivation) {
+	reach := d.threadReach()
 	if len(reach) == 0 {
 		return // no declared threads: nothing can race
 	}
@@ -123,12 +123,6 @@ func (f *Facts) computeRaces() {
 			f.Bypasses = append(f.Bypasses, b)
 		}
 	}
-	staticSlot := func(idx int) string {
-		if idx >= 0 && idx < len(f.prog.Statics) {
-			return "static:" + f.prog.Statics[idx].Name
-		}
-		return fmt.Sprintf("static:#%d", idx)
-	}
 	staticVol := func(idx int) bool {
 		return idx >= 0 && idx < len(f.prog.Statics) && f.prog.Statics[idx].Volatile
 	}
@@ -139,18 +133,12 @@ func (f *Facts) computeRaces() {
 			continue
 		}
 		mi := f.methods[m.Name]
-		var fresh []*freshState
-		freshDone := false
+		var fresh []*slots[bool]
 		freshAt := func(pc, receiverDepth int) bool {
-			if !freshDone {
+			if fresh == nil {
 				fresh = f.freshness(mi, true)
-				freshDone = true
 			}
-			if fresh == nil || fresh[pc] == nil {
-				return false
-			}
-			st := fresh[pc]
-			return len(st.stack) >= receiverDepth && st.stack[len(st.stack)-receiverDepth]
+			return fresh[pc].top(receiverDepth)
 		}
 		for pc, in := range m.Code {
 			if mi.depth[pc] < 0 {
@@ -164,11 +152,11 @@ func (f *Facts) computeRaces() {
 			)
 			switch in.Op {
 			case bytecode.GETSTATIC:
-				slot, vol = staticSlot(in.A), staticVol(in.A)
+				slot, vol = f.staticSlot(in.A), staticVol(in.A)
 			case bytecode.PUTSTATIC:
-				slot, write, vol = staticSlot(in.A), true, staticVol(in.A)
+				slot, write, vol = f.staticSlot(in.A), true, staticVol(in.A)
 			case bytecode.PUTSTATICRAW:
-				slot, write = staticSlot(in.A), true
+				slot, write = f.staticSlot(in.A), true
 				if staticVol(in.A) {
 					bypass(VolatileBypass{Slot: slot, Kind: "raw-store", Pos: pos})
 				}
@@ -217,7 +205,7 @@ func (f *Facts) computeRaces() {
 	// Confinement refinement (escape.go): a field slot whose every access
 	// dereferences a provably thread-confined object cannot race even
 	// though its multi-instance lock earns no lockset credit.
-	confinedRecv := f.confinedReceiverSlots()
+	confinedRecv := f.confinedReceiverSlots(d)
 	for _, slot := range slots {
 		if confinedRecv[slot] {
 			continue
@@ -272,6 +260,14 @@ func (f *Facts) computeRaces() {
 	}
 }
 
+// staticSlot names the heap slot of static idx.
+func (f *Facts) staticSlot(idx int) string {
+	if idx >= 0 && idx < len(f.prog.Statics) {
+		return "static:" + f.prog.Statics[idx].Name
+	}
+	return fmt.Sprintf("static:#%d", idx)
+}
+
 // threadReachability maps each method to the set of thread identities that
 // can (transitively) call it: the declared threads plus one pseudo-root per
 // SPAWN target. Uses the full call graph: over-approximating reachability
@@ -286,35 +282,37 @@ func (f *Facts) computeRaces() {
 // the same safe direction.
 func (f *Facts) threadReachability() map[string]map[string]bool {
 	reach := make(map[string]map[string]bool)
-	mark := func(root, tname string) {
-		queue := []string{root}
-		for len(queue) > 0 {
-			name := queue[0]
-			queue = queue[1:]
-			if reach[name] == nil {
-				reach[name] = make(map[string]bool)
-			}
-			if reach[name][tname] {
-				continue
-			}
+	var w callWork
+	add := func(name, tname string) {
+		if reach[name] == nil {
+			reach[name] = make(map[string]bool)
+		}
+		if !reach[name][tname] {
 			reach[name][tname] = true
-			queue = append(queue, f.CallGraph[name]...)
+			w.push(name)
 		}
 	}
 	for _, td := range f.prog.Threads {
 		if f.methods[td.Method] != nil {
-			mark(td.Method, td.Name)
+			add(td.Method, td.Name)
 		}
 	}
 	for _, m := range f.prog.Methods {
 		mi := f.methods[m.Name]
 		for pc, in := range m.Code {
 			if in.Op == bytecode.SPAWN && mi.depth[pc] >= 0 && f.methods[in.S] != nil {
-				mark(in.S, "spawn:"+in.S)
-				mark(in.S, "spawn:"+in.S+"'")
+				add(in.S, "spawn:"+in.S)
+				add(in.S, "spawn:"+in.S+"'")
 			}
 		}
 	}
+	w.run(func(name string) {
+		for _, c := range f.CallGraph[name] {
+			for t := range reach[name] {
+				add(c, t)
+			}
+		}
+	})
 	return reach
 }
 
@@ -356,14 +354,20 @@ func (f *Facts) localMust(mi *methodInfo, pc int, sections []*Section) map[strin
 // (ctx(caller) ∪ localMust at the site). nil means "not yet constrained"
 // (⊤); the intersection only shrinks, so the fixpoint terminates.
 func (f *Facts) contextLocksets(reach map[string]map[string]bool, sectionsOf map[string][]*Section) map[string]map[string]bool {
-	ctx := make(map[string]map[string]bool)
-	known := make(map[string]bool)
-	var queue []string
+	ctx := make(map[string]map[string]bool) // absent: ⊤
+	var w callWork
+	meet := func(name string, site map[string]bool) {
+		cur, known := ctx[name]
+		if !known {
+			ctx[name] = site
+			w.push(name)
+		} else if shrinkTo(cur, site) {
+			w.push(name)
+		}
+	}
 	for _, td := range f.prog.Threads {
-		if f.methods[td.Method] != nil && !known[td.Method] {
-			ctx[td.Method] = make(map[string]bool)
-			known[td.Method] = true
-			queue = append(queue, td.Method)
+		if f.methods[td.Method] != nil {
+			meet(td.Method, make(map[string]bool))
 		}
 	}
 	// A spawned body starts on a fresh thread holding nothing: seed every
@@ -372,44 +376,23 @@ func (f *Facts) contextLocksets(reach map[string]map[string]bool, sectionsOf map
 	for _, m := range f.prog.Methods {
 		mi := f.methods[m.Name]
 		for pc, in := range m.Code {
-			if in.Op != bytecode.SPAWN || mi.depth[pc] < 0 || f.methods[in.S] == nil {
-				continue
+			if in.Op == bytecode.SPAWN && mi.depth[pc] >= 0 && f.methods[in.S] != nil {
+				meet(in.S, make(map[string]bool))
 			}
-			if known[in.S] {
-				if shrinkTo(ctx[in.S], nil) {
-					queue = append(queue, in.S)
-				}
-				continue
-			}
-			ctx[in.S] = make(map[string]bool)
-			known[in.S] = true
-			queue = append(queue, in.S)
 		}
 	}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
+	w.run(func(name string) {
 		mi := f.methods[name]
 		for pc, in := range mi.m.Code {
 			if in.Op != bytecode.INVOKE || mi.depth[pc] < 0 {
 				continue
 			}
-			callee := in.S
-			if f.methods[callee] == nil || len(reach[callee]) == 0 {
+			if f.methods[in.S] == nil || len(reach[in.S]) == 0 {
 				continue
 			}
-			site := unionSet(ctx[name], f.localMust(mi, pc, sectionsOf[name]))
-			if !known[callee] {
-				ctx[callee] = site
-				known[callee] = true
-				queue = append(queue, callee)
-				continue
-			}
-			if shrinkTo(ctx[callee], site) {
-				queue = append(queue, callee)
-			}
+			meet(in.S, unionSet(ctx[name], f.localMust(mi, pc, sectionsOf[name])))
 		}
-	}
+	})
 	return ctx
 }
 

@@ -30,6 +30,12 @@ func Verify(p *Program) error {
 			return err
 		}
 	}
+	return VerifyThreads(p)
+}
+
+// VerifyThreads checks the thread declarations: each runs a defined
+// zero-argument method at a priority in 1..10.
+func VerifyThreads(p *Program) error {
 	for _, t := range p.Threads {
 		mt, ok := p.Method(t.Method)
 		if !ok {
